@@ -1067,7 +1067,7 @@ pub fn elastic(cfg: &ExpConfig) {
             crate::feed_cluster_concurrently(&cluster, after_slice, PRODUCERS);
             let during = cluster.obs().hist(Stage::IngestReshard).snapshot();
             let flush_max_secs = cluster.obs().hist(Stage::FlushApply).snapshot().max as f64 / 1e6;
-            let quiesce_us = cluster.obs().hist(Stage::ReshardQuiesce).snapshot().max;
+            let settle_us = cluster.obs().hist(Stage::ReshardSettle).snapshot().max;
             let resume_us = cluster.obs().hist(Stage::ReshardResume).snapshot().max;
             let metrics = cluster.metrics().expect("cluster alive");
             let after = metrics.routing_skew().max_mean_updates;
@@ -1180,7 +1180,7 @@ pub fn elastic(cfg: &ExpConfig) {
                 "elastic: {} × {shards} done (skew {before:.2} → {after:.2}, \
                  settle {:.1} ms + swap {:.1} ms)",
                 policy.name(),
-                quiesce_us as f64 / 1e3,
+                settle_us as f64 / 1e3,
                 resume_us as f64 / 1e3,
             );
         }
@@ -1361,14 +1361,12 @@ pub fn ablation(cfg: &ExpConfig) {
 
 /// `repro -- audit`: exercise every `gpma_core::audit` validator mid-stream
 /// — the GPMA+ state after each slide of a sliding-window stream, the delta
-/// publication ring after each epoch, every shipped partition policy, a
-/// migration plan between two plans, and a coordinated cluster cut.
+/// publication ring after each epoch, every shipped partition policy, and
+/// a coordinated cluster cut.
 pub fn audit(cfg: &ExpConfig) {
     use gpma_cluster::{ClusterConfig, GraphCluster, PartitionPolicy};
     use gpma_core::delta::{DeltaLog, SnapshotDelta};
-    use gpma_core::migration::MigrationPlan;
     use gpma_core::multi::{DegreePartition, PartitionEpoch};
-    use gpma_graph::Edge;
     use std::sync::Arc;
 
     let stream = generate(DatasetKind::Graph500, cfg.scale, cfg.seed);
@@ -1425,26 +1423,6 @@ pub fn audit(cfg: &ExpConfig) {
     rows.push(vec![
         "PartitionEpoch::validate".into(),
         format!("{num_plans} plans x {nv} vertices"),
-        "ok".into(),
-    ]);
-
-    // A migration plan between the first two policies equals the owner-diff.
-    let old_plan = &plans[0];
-    let new_plan = &plans[1];
-    let mut per_shard: Vec<Vec<Edge>> = vec![Vec::new(); old_plan.num_shards()];
-    for e in stream.initial_edges() {
-        per_shard[old_plan.shard_of_edge(e.src, e.dst)].push(*e);
-    }
-    let plan = MigrationPlan::compute(&per_shard, &**new_plan);
-    plan.validate(&per_shard, &**new_plan)
-        .expect("migration plan matches the owner-diff");
-    rows.push(vec![
-        "MigrationPlan::validate".into(),
-        format!(
-            "{} moved, {} resident",
-            plan.moved_edges(),
-            plan.resident_edges()
-        ),
         "ok".into(),
     ]);
 
@@ -1807,7 +1785,7 @@ pub fn recovery(cfg: &ExpConfig) {
 /// Reported: client ingest p50/p99 per scenario, the
 /// `ingest.reshard` histogram (sends completing while migration held the
 /// router), and the full per-stage breakdown (flush, route/forward,
-/// cut barrier/publish, reshard quiesce/migrate/resume, recovery
+/// cut barrier/publish, reshard copy/replay/settle/resume, recovery
 /// restore/replay, checkpoint) from the cluster registry.
 pub fn obs(cfg: &ExpConfig) {
     use gpma_cluster::{

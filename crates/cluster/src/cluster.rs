@@ -716,10 +716,10 @@ impl GraphCluster {
         self.shared.reshards.lock().clone()
     }
 
-    /// Live reshard onto an explicit new plan: quiesce ingest, migrate the
-    /// minimal edge-move set between the plans (device-to-device DMAs,
-    /// charged to the transfer ledgers), resume routing under the new plan,
-    /// and publish a snapshot-style epoch marker (readers of
+    /// Live reshard onto an explicit new plan: copy every edge whose owner
+    /// changes to its new shard while ingest keeps flowing (device-to-device
+    /// DMAs, charged to the transfer ledgers), pause briefly to settle and
+    /// swap the plan, and publish a snapshot-style epoch marker (readers of
     /// [`Self::deltas_since`] at older cuts rebase on the marker cut;
     /// [`DeltaMonitor`]s receive an `on_rebase`). The shard count may grow
     /// or shrink; edges whose owner is unchanged never move. Arrival-order
@@ -1096,6 +1096,10 @@ const COW_PRESETTLE_REISSUES: u32 = 16;
 struct CowState {
     /// The target plan the background rounds stage toward.
     new: Arc<dyn Partitioner>,
+    /// Policy name routed under before the reshard.
+    from_policy: String,
+    /// Fired by the [`RebalancePolicy`] rather than an explicit call.
+    auto: bool,
     /// Shard count before the reshard (sources are `0..old_n`).
     old_n: usize,
     /// Shard count after (destinations are `0..new_n`).
@@ -1116,22 +1120,67 @@ struct CowState {
     background: Duration,
 }
 
-/// One in-flight non-blocking cut round: barriers issued to every shard,
-/// acks collected as the workers reach them — producers never stall on a
-/// cluster-wide quiesce.
-struct PendingCut {
-    /// Every `epoch_cut` caller waiting on this round.
-    acks: Vec<Sender<Arc<ClusterSnapshot>>>,
-    /// Per-shard barrier ack receivers (`None` = service already closed
-    /// when the barrier was issued).
-    waits: Vec<Option<Receiver<Arc<GraphSnapshot>>>>,
-    /// Collected per-shard barrier snapshots.
-    got: Vec<Option<Arc<GraphSnapshot>>>,
-    /// A shard degraded to its aligned published snapshot: the round's
-    /// barrier wall is not representative, so it is not recorded.
-    degraded: bool,
-    /// When the round's barriers were issued.
-    t0: Instant,
+/// One barrier per shard, issued together. Each barrier is FIFO-ordered
+/// behind every update already forwarded to its shard, so the acked
+/// snapshots form an exact global frontier even though they arrive at
+/// different times — and the router can keep absorbing ingest while it
+/// polls them. Cuts, the reshard settle and marker, the copy-on-write
+/// pre-settle and the retire wait are all rounds of this one primitive.
+struct BarrierRound {
+    acks: Vec<BarrierAck>,
+    /// When the barriers were issued.
+    started: Instant,
+}
+
+/// Where one shard stands in a [`BarrierRound`].
+enum BarrierAck {
+    /// The worker has not reached the barrier yet.
+    Pending(Receiver<Arc<GraphSnapshot>>),
+    /// The worker flushed everything ahead of the barrier and acked.
+    Acked(Arc<GraphSnapshot>),
+    /// The service was closed when the barrier was issued, or the worker
+    /// died before acking (its ack channel dropped).
+    Lost,
+}
+
+impl BarrierRound {
+    /// Send a barrier to every shard without waiting for any of them.
+    fn issue(services: &[StreamingService]) -> Self {
+        let started = Instant::now();
+        let acks = services
+            .iter()
+            .map(|svc| match svc.barrier_async() {
+                Ok(rx) => BarrierAck::Pending(rx),
+                Err(_) => BarrierAck::Lost,
+            })
+            .collect();
+        BarrierRound { acks, started }
+    }
+
+    /// Collect the acks that have arrived — with `block`, wait for each
+    /// one. True once every shard has acked or been lost.
+    fn poll(&mut self, block: bool) -> bool {
+        let mut done = true;
+        for ack in &mut self.acks {
+            let BarrierAck::Pending(rx) = ack else {
+                continue;
+            };
+            let snap = if block {
+                rx.recv().ok()
+            } else {
+                match rx.try_recv() {
+                    Ok(snap) => Some(snap),
+                    Err(TryRecvError::Empty) => {
+                        done = false;
+                        continue;
+                    }
+                    Err(TryRecvError::Disconnected) => None,
+                }
+            };
+            *ack = snap.map_or(BarrierAck::Lost, BarrierAck::Acked);
+        }
+        done
+    }
 }
 
 /// Everything the router loop threads through its helpers.
@@ -1182,8 +1231,9 @@ struct Router {
     /// so the next cut's delta cannot be stitched across the crash — force
     /// that one cut to publish as a full-snapshot rebase.
     force_rebase: bool,
-    /// The non-blocking cut round in flight, if any.
-    pending_cut: Option<PendingCut>,
+    /// The non-blocking cut round in flight, if any, with every
+    /// `epoch_cut` caller waiting on it.
+    cut: Option<(BarrierRound, Vec<Sender<Arc<ClusterSnapshot>>>)>,
     /// `epoch_cut` callers that arrived while a round was in flight; they
     /// join the *next* round (their pre-cut updates may not have been
     /// forwarded when the current round's barriers were issued).
@@ -1209,54 +1259,27 @@ struct Router {
     /// replay log, which records every internal ship, repairs a death in
     /// this window instead.
     cow_retiring: bool,
-    /// A `Shutdown` absorbed mid-reshard; honored as soon as the reshard
-    /// completes.
+    /// A `Shutdown` (or a disconnected queue) was absorbed; the router
+    /// loop honors it once the command in hand — a reshard, say — is done.
     shutdown_pending: bool,
 }
 
 impl Router {
-    /// Buffer one routed update, enforcing arrival-order semantics within
-    /// the pending window (a deletion cancels a same-key pending insert on
-    /// its shard before being buffered).
-    fn route(&mut self, cmd: Command) {
+    /// Buffer routed updates, enforcing arrival-order semantics within the
+    /// pending window: a deletion cancels a same-key pending insert on its
+    /// shard before being buffered. Deletions go first (the batch
+    /// convention), so a batch cancels only *earlier* pending inserts,
+    /// never its own.
+    fn route(&mut self, deletions: &[Edge], insertions: impl IntoIterator<Item = Edge>) {
         // One `router.route` sample per routed command: partition lookup,
         // cut-edge accounting and pending-window cancellation.
         let obs = self.shared.obs.clone();
         let _route = obs.span(Stage::RouteBatch);
-        match cmd {
-            Command::Insert(e) => {
-                self.route_insert(e);
-                self.pending_len += 1;
-            }
-            Command::Delete(e) => {
-                self.route_delete(e);
-                self.pending_len += 1;
-            }
-            Command::Batch(b) => {
-                // Batch convention: its deletions precede its insertions,
-                // so route deletions first (cancelling only *earlier*
-                // pending inserts, never this batch's own).
-                self.pending_len += b.len();
-                for e in &b.deletions {
-                    self.route_delete(*e);
-                }
-                for e in b.insertions {
-                    self.route_insert(e);
-                }
-            }
-            Command::Cut(_)
-            | Command::Reshard(..)
-            | Command::Rebalance(..)
-            | Command::Stats(_)
-            | Command::Kill(..)
-            | Command::Shutdown => {
-                // Control commands are dispatched by the router loop, not
-                // routed; reaching here is a dispatch bug — but the router
-                // thread must not panic over it (a poisoned router takes
-                // the whole cluster down). Log, count, drop.
-                self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
-                eprintln!("gpma-cluster: control command reached the routing stage; dropped");
-            }
+        for &e in deletions {
+            self.route_delete(e);
+        }
+        for e in insertions {
+            self.route_insert(e);
         }
     }
 
@@ -1267,6 +1290,7 @@ impl Router {
         }
         self.observed[e.src as usize] += 1;
         self.pending[s].insertions.push(e);
+        self.pending_len += 1;
     }
 
     fn route_delete(&mut self, e: Edge) {
@@ -1277,6 +1301,7 @@ impl Router {
         self.pending[s].insertions.retain(|p| p.key() != key);
         self.local_cancelled += (before - self.pending[s].insertions.len()) as u64;
         self.pending[s].deletions.push(e);
+        self.pending_len += 1;
     }
 
     /// The one-shot fault plan fires right after the burst that crossed
@@ -1294,16 +1319,7 @@ impl Router {
             return;
         }
         self.fault = None;
-        if plan.kill_shard < self.services.len() {
-            let _ = self.services[plan.kill_shard].inject_failure();
-        } else {
-            self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
-            eprintln!(
-                "gpma-cluster: fault plan names shard {} of {}; ignored",
-                plan.kill_shard,
-                self.services.len()
-            );
-        }
+        self.kill(plan.kill_shard);
     }
 
     /// Ship every non-empty per-shard sub-batch: record one modeled DMA per
@@ -1498,7 +1514,7 @@ impl Router {
             EventKind::Recovered,
             t0.elapsed().as_micros() as u64,
         );
-        let (saved, bytes_len) = self.save_checkpoint(&policy, i);
+        self.checkpoint_shards(i..i + 1);
 
         let mut c = self.shared.router.lock();
         c.recoveries += 1;
@@ -1508,77 +1524,54 @@ impl Router {
         if fallback {
             c.recovery_snapshot_fallbacks += 1;
         }
-        if saved {
-            c.checkpoints_taken += 1;
-            c.checkpoint_bytes += bytes_len;
-        }
     }
 
-    /// Encode shard `i`'s current checkpoint and persist it. Returns
-    /// `(saved, encoded_bytes)`; a save failure is logged and counted, and
-    /// the shard's replay log is trimmed only on success (the log must
-    /// reach back to whatever checkpoint recovery would actually load).
-    fn save_checkpoint(&mut self, policy: &RecoveryPolicy, i: usize) -> (bool, u64) {
-        let obs = self.shared.obs.clone();
-        let _save = obs.span(Stage::CheckpointSave);
-        let ckpt = self.services[i].checkpoint();
-        let epoch = ckpt.epoch();
-        let bytes = ckpt.encode();
-        match policy.store.save(i, epoch, &bytes) {
-            Ok(()) => {
-                self.replay[i].clear();
-                (true, bytes.len() as u64)
-            }
-            Err(e) => {
-                self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
-                eprintln!("gpma-cluster: shard {i} checkpoint save failed ({e})");
-                (false, 0)
-            }
-        }
-    }
-
-    /// Cut-cadence checkpointing: at every `checkpoint_every_cuts`-th cut
-    /// (and the shards are freshly barriered, so each checkpoint captures
-    /// exactly the cut state), persist every shard and trim its replay log.
-    fn maybe_checkpoint(&mut self, cut: u64) {
+    /// Persist the current checkpoint of every shard in `shards` and trim
+    /// each saved shard's replay log. A failed save is logged and counted,
+    /// and that shard keeps its log: the log must reach back to whatever
+    /// checkpoint recovery would actually load.
+    fn checkpoint_shards(&mut self, shards: std::ops::Range<usize>) {
         let Some(policy) = self.recovery.clone() else {
             return;
         };
-        if !cut.is_multiple_of(policy.checkpoint_every_cuts.max(1)) {
-            return;
-        }
-        let mut taken = 0u64;
-        let mut total = 0u64;
-        for i in 0..self.services.len() {
-            let (saved, n) = self.save_checkpoint(&policy, i);
-            if saved {
-                taken += 1;
-                total += n;
+        let obs = self.shared.obs.clone();
+        for i in shards {
+            let _save = obs.span(Stage::CheckpointSave);
+            let ckpt = self.services[i].checkpoint();
+            let bytes = ckpt.encode();
+            match policy.store.save(i, ckpt.epoch(), &bytes) {
+                Ok(()) => {
+                    self.replay[i].clear();
+                    let mut c = self.shared.router.lock();
+                    c.checkpoints_taken += 1;
+                    c.checkpoint_bytes += bytes.len() as u64;
+                }
+                Err(e) => {
+                    self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
+                    eprintln!("gpma-cluster: shard {i} checkpoint save failed ({e})");
+                }
             }
         }
-        let mut c = self.shared.router.lock();
-        c.checkpoints_taken += taken;
-        c.checkpoint_bytes += total;
     }
 
-    /// Barrier every shard and collect the epoch-stamped snapshots. A shard
-    /// whose service is found closed (only possible mid-teardown) does not
-    /// panic the router: the error is logged, counted in
+    /// Wait out a barrier round and take one snapshot per shard. A lost
+    /// shard does not panic the router: the error is logged, counted in
     /// [`ClusterMetrics::worker_errors`], and the shard's latest published
     /// snapshot — aligned forward to its delta-ring head (`cut.align`) —
     /// stands in, so cuts and reshards complete instead of poisoning the
     /// router thread. Returns whether any shard degraded, so callers can
-    /// cancel the barrier-wall sample rather than fold a corpse's failure
+    /// drop the barrier-wall sample rather than fold a corpse's failure
     /// latency into the `cut.barrier` histogram.
-    fn barrier_all(&self) -> (Vec<Arc<GraphSnapshot>>, bool) {
+    fn finish_round(&self, mut round: BarrierRound) -> (Vec<Arc<GraphSnapshot>>, bool) {
+        round.poll(true);
         let mut degraded = false;
-        let snaps = self
-            .services
-            .iter()
+        let snaps = round
+            .acks
+            .into_iter()
             .enumerate()
-            .map(|(i, svc)| match svc.barrier() {
-                Ok(snap) => snap,
-                Err(_) => {
+            .map(|(i, ack)| match ack {
+                BarrierAck::Acked(snap) => snap,
+                BarrierAck::Pending(_) | BarrierAck::Lost => {
                     degraded = true;
                     self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
                     eprintln!(
@@ -1587,37 +1580,24 @@ impl Router {
                     );
                     let obs = self.shared.obs.clone();
                     let _align = obs.span(Stage::CutAlign);
-                    svc.frozen_cut()
+                    self.services[i].frozen_cut()
                 }
             })
             .collect();
         (snaps, degraded)
     }
 
-    /// Synchronous coordinated cut — the shutdown path's final cut, where
-    /// blocking the router is the point. Live `epoch_cut` requests go
-    /// through [`Self::begin_cut`] instead and never stall producers.
-    fn cut_sync(&mut self) -> Arc<ClusterSnapshot> {
-        let obs = self.shared.obs.clone();
-        let t0 = Instant::now();
-        let barrier_span = obs.span(Stage::CutBarrier);
-        self.forward();
-        // `forward` recovers shards whose sends failed; shards that died
-        // with no in-flight traffic are only detectable by probing.
-        self.ensure_shards_alive();
-        let (snaps, degraded) = self.barrier_all();
-        if degraded {
-            // A corpse's stall is not barrier latency: drop the sample.
-            barrier_span.cancel();
-        } else {
-            drop(barrier_span);
-        }
-        self.publish_cut(snaps, t0)
-    }
-
-    /// Assemble and publish one coordinated cut from barriered (or aligned)
-    /// per-shard snapshots, plus its merged delta and cadence checkpoint.
-    fn publish_cut(&mut self, snaps: Vec<Arc<GraphSnapshot>>, t0: Instant) -> Arc<ClusterSnapshot> {
+    /// Assemble and publish one coordinated cut from barriered (or
+    /// aligned) per-shard snapshots, with its merged delta and cadence
+    /// checkpoint. A reshard's `marker` cut carries no delta — it resets
+    /// the cluster ring to itself, so delta readers rebase past the
+    /// migration — and checkpoints every shard whatever the cadence.
+    fn publish_cut(
+        &mut self,
+        snaps: Vec<Arc<GraphSnapshot>>,
+        t0: Instant,
+        marker: bool,
+    ) -> Arc<ClusterSnapshot> {
         let obs = self.shared.obs.clone();
         let cut = self.shared.cuts.fetch_add(1, Ordering::Relaxed) + 1;
         let snap = {
@@ -1628,8 +1608,38 @@ impl Router {
                 snaps,
             ));
             *self.shared.snapshot.lock() = snap.clone();
-            self.publish_cut_delta(cut, &snap);
-            self.maybe_checkpoint(cut);
+            let delta = if marker {
+                None
+            } else {
+                self.cut_delta(cut, &snap)
+            };
+            self.last_cut_epochs = snap.shards().iter().map(|s| s.epoch()).collect();
+            match delta {
+                Some(delta) => {
+                    self.shared.delta_log.lock().push(delta.clone());
+                    if let Some(tx) = &self.cut_tx {
+                        let _ = tx.send(CutEvent::Delta(delta));
+                    }
+                }
+                None => {
+                    // Readers of the cluster ring below this cut must
+                    // rebase; a reader at exactly this cut is current.
+                    self.shared.delta_log.lock().reset_to(cut);
+                    if let Some(tx) = &self.cut_tx {
+                        let _ = tx.send(CutEvent::Rebase(snap.clone()));
+                    }
+                }
+            }
+            // The shards are freshly barriered, so each checkpoint captures
+            // exactly the cut state (after a marker: the fully retired
+            // post-migration state, subsuming every internal ship).
+            let every = self
+                .recovery
+                .as_ref()
+                .map_or(1, |p| p.checkpoint_every_cuts.max(1));
+            if marker || cut.is_multiple_of(every) {
+                self.checkpoint_shards(0..self.services.len());
+            }
             snap
         };
         obs.event(
@@ -1642,114 +1652,49 @@ impl Router {
         snap
     }
 
-    /// Start (or queue into) a non-blocking cut round. The barrier command
-    /// is FIFO-ordered behind every update already forwarded to each shard,
-    /// so the per-shard barrier snapshots form an exact global frontier
-    /// even though their acks arrive at different times — the router keeps
-    /// absorbing and forwarding ingest while [`Self::poll_pending_cut`]
-    /// collects them.
+    /// Join the next non-blocking cut round: start one now, or — when a
+    /// round is already in flight — queue for the round after it, because
+    /// this caller's pre-cut updates may not have been forwarded when the
+    /// in-flight round's barriers were issued.
     fn begin_cut(&mut self, ack: Sender<Arc<ClusterSnapshot>>) {
-        if self.pending_cut.is_some() {
-            // This caller's pre-cut updates may not have been forwarded
-            // when the in-flight round's barriers were issued: it joins
-            // the next round, started the moment the current one resolves.
+        if self.cut.is_some() {
             self.queued_cut_acks.push(ack);
-            return;
+        } else {
+            self.start_cut_round(vec![ack]);
         }
-        self.start_cut_round(vec![ack]);
     }
 
-    /// Forward residue and issue one barrier to every shard, registering
-    /// the round as [`Router::pending_cut`].
+    /// Forward residue, recover dead shards and issue a cut round for
+    /// `acks` (possibly none — the shutdown cut has no waiters).
     fn start_cut_round(&mut self, acks: Vec<Sender<Arc<ClusterSnapshot>>>) {
         self.forward();
+        // `forward` recovers shards whose sends failed; shards that died
+        // with no in-flight traffic are only detectable by probing.
         self.ensure_shards_alive();
-        let t0 = Instant::now();
-        let mut degraded = false;
-        let mut waits: Vec<Option<Receiver<Arc<GraphSnapshot>>>> =
-            Vec::with_capacity(self.services.len());
-        for (i, svc) in self.services.iter().enumerate() {
-            match svc.barrier_async() {
-                Ok(rx) => waits.push(Some(rx)),
-                Err(_) => {
-                    degraded = true;
-                    self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
-                        "gpma-cluster: shard {i} service closed at barrier; \
-                         falling back to its aligned published snapshot"
-                    );
-                    waits.push(None);
-                }
-            }
-        }
-        let n = waits.len();
-        self.pending_cut = Some(PendingCut {
-            acks,
-            waits,
-            got: vec![None; n],
-            degraded,
-            t0,
-        });
-        self.poll_pending_cut(false);
+        self.cut = Some((BarrierRound::issue(&self.services), acks));
+        self.poll_cut(false);
     }
 
     /// Collect whatever barrier acks have arrived for the in-flight cut
     /// round; when the round completes, publish the cut, answer every
     /// waiter, and start the next round if callers queued up meanwhile.
-    /// With `block` set, parks on each outstanding ack (the resolve path).
-    fn poll_pending_cut(&mut self, block: bool) {
-        loop {
-            let Some(mut pc) = self.pending_cut.take() else {
-                return;
-            };
-            let mut all = true;
-            for i in 0..pc.waits.len() {
-                if pc.got[i].is_some() {
-                    continue;
-                }
-                let filled = match &pc.waits[i] {
-                    Some(rx) => {
-                        if block {
-                            rx.recv().ok()
-                        } else {
-                            match rx.try_recv() {
-                                Ok(s) => Some(s),
-                                Err(TryRecvError::Empty) => {
-                                    all = false;
-                                    continue;
-                                }
-                                Err(TryRecvError::Disconnected) => None,
-                            }
-                        }
-                    }
-                    None => None,
-                };
-                pc.got[i] = Some(match filled {
-                    Some(s) => s,
-                    None => {
-                        // The worker died mid-barrier (its ack channel
-                        // dropped): align its latest published snapshot to
-                        // its ring head and degrade, like the sync path.
-                        pc.degraded = true;
-                        self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
-                        let obs = self.shared.obs.clone();
-                        let _align = obs.span(Stage::CutAlign);
-                        self.services[i].frozen_cut()
-                    }
-                });
-            }
-            if !all {
-                self.pending_cut = Some(pc);
+    /// With `block` set, waits until no round is in flight (reshard entry
+    /// and shutdown — the points that need the cut pipeline drained).
+    fn poll_cut(&mut self, block: bool) {
+        while let Some((mut round, acks)) = self.cut.take() {
+            if !round.poll(block) {
+                self.cut = Some((round, acks));
                 return;
             }
-            if !pc.degraded {
+            let t0 = round.started;
+            let (snaps, degraded) = self.finish_round(round);
+            if !degraded {
                 self.shared
                     .obs
-                    .record_duration(Stage::CutBarrier, pc.t0.elapsed());
+                    .record_duration(Stage::CutBarrier, t0.elapsed());
             }
-            let snaps: Vec<Arc<GraphSnapshot>> = pc.got.into_iter().flatten().collect();
-            let snap = self.publish_cut(snaps, pc.t0);
-            for ack in pc.acks {
+            let snap = self.publish_cut(snaps, t0, false);
+            for ack in acks {
                 let _ = ack.send(snap.clone());
             }
             if self.queued_cut_acks.is_empty() {
@@ -1765,11 +1710,26 @@ impl Router {
         }
     }
 
-    /// Park until no cut round is in flight (reshard entry and shutdown —
-    /// the two points that need the cut pipeline drained).
-    fn resolve_pending_cut(&mut self) {
-        while self.pending_cut.is_some() {
-            self.poll_pending_cut(true);
+    /// Ship one router-internal batch (staged copy, replay, retraction) to
+    /// shard `d`. Internal ships enter the replay log like client batches:
+    /// a destination dying with this queued but unapplied replays it from
+    /// the log on respawn.
+    fn ship(&mut self, d: usize, batch: UpdateBatch) {
+        if self.recovery.is_some() {
+            self.replay[d].push(batch.clone());
+        }
+        let _ = self.handles[d].ingest_unmetered(batch);
+    }
+
+    /// One background round: a frozen-cut resync when a recovery or an
+    /// outrun ring dirtied the replay cursors, else a delta replay. Returns
+    /// the updates shipped (a resync counts as 1 — it never reads as dry).
+    fn cow_step(&mut self, cow: &mut CowState) -> u64 {
+        if self.cow_sync_dirty {
+            self.cow_full_sync(cow);
+            1
+        } else {
+            self.cow_replay_round(cow)
         }
     }
 
@@ -1838,13 +1798,7 @@ impl Router {
             if !batch.is_empty() {
                 cow.arrived[d] += batch.insertions.len();
                 cow.copied += batch.len() as u64;
-                if self.recovery.is_some() {
-                    // Internal ships enter the replay log like client
-                    // batches: a destination dying with this queued but
-                    // unapplied replays it from the log on respawn.
-                    self.replay[d].push(batch.clone());
-                }
-                let _ = self.handles[d].ingest_unmetered(batch);
+                self.ship(d, batch);
             }
         }
         cow.staged = desired;
@@ -1885,10 +1839,7 @@ impl Router {
                             cow.arrived[d] += b.insertions.len();
                             shipped += b.len() as u64;
                             let b = std::mem::take(b);
-                            if self.recovery.is_some() {
-                                self.replay[d].push(b.clone());
-                            }
-                            let _ = self.handles[d].ingest_unmetered(b);
+                            self.ship(d, b);
                         }
                     }
                     if let Some(last) = chain.last() {
@@ -1908,40 +1859,82 @@ impl Router {
         shipped
     }
 
-    /// Absorb one command mid-reshard: data keeps routing under the old
-    /// plan (pre-swap; the post-swap retire window routes under the new
-    /// one), stats and kills serve inline, cut/plan changes defer to right
-    /// after the marker cut (a mid-copy barrier would observe staged
-    /// duplicates, a mid-retire one un-retracted movers, and plan changes
-    /// cannot nest), and shutdown is honored once the reshard completes.
-    fn cow_absorb(&mut self, cmd: Command) {
+    /// Apply one command. Data routes under the plan in force (the old
+    /// plan until a reshard's swap, the new one after), and stats and kills
+    /// serve inline. While a copy-on-write reshard is in flight, cuts and
+    /// plan changes defer to right after its marker cut (a mid-copy barrier
+    /// would observe staged duplicates, a mid-retire one un-retracted
+    /// movers, and plan changes cannot nest). A shutdown is only recorded:
+    /// the loop that owns the router honors it.
+    fn dispatch(&mut self, cmd: Command, rx: &Receiver<Command>) {
         match cmd {
-            Command::Insert(_) | Command::Delete(_) | Command::Batch(_) => self.route(cmd),
+            Command::Insert(e) => self.route(&[], [e]),
+            Command::Delete(e) => self.route(&[e], []),
+            Command::Batch(b) => self.route(&b.deletions, b.insertions),
             Command::Stats(reply) => {
+                // Flush residue first so the reply (and the shared counters
+                // it is read alongside) reflect everything accepted so far.
                 self.forward();
                 let _ = reply.send(self.services.iter().map(|s| s.metrics()).collect());
             }
-            Command::Kill(shard, ack) => self.kill(shard, ack),
+            Command::Kill(shard, ack) => {
+                let landed = self.kill(shard);
+                let _ = ack.send(landed);
+            }
             Command::Shutdown => self.shutdown_pending = true,
-            other @ (Command::Cut(_) | Command::Reshard(..) | Command::Rebalance(..)) => {
-                self.deferred.push_back(other);
+            cmd @ (Command::Cut(_) | Command::Reshard(..) | Command::Rebalance(..))
+                if self.cow_active =>
+            {
+                self.deferred.push_back(cmd);
+            }
+            Command::Cut(ack) => self.begin_cut(ack),
+            Command::Reshard(new, ack) => {
+                let _ = ack.send(self.reshard(new, false, rx));
+            }
+            Command::Rebalance(target, ack) => {
+                let _ = ack.send(self.rebalance(target, false, rx));
             }
         }
     }
 
-    /// Kill one shard's worker (fault injection), acking whether it landed.
-    fn kill(&mut self, shard: usize, ack: Sender<bool>) {
-        let landed = if shard < self.services.len() {
-            self.services[shard].inject_failure().is_ok()
-        } else {
-            self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
-            eprintln!(
-                "gpma-cluster: kill_shard({shard}) out of range ({} shards); ignored",
-                self.services.len()
-            );
-            false
+    /// One absorb step: wait up to `wait` for a command (`None` blocks),
+    /// dispatch it and whatever else is already queued — up to one router
+    /// batch, so bursts ship as few, large modeled DMAs — then forward. A
+    /// disconnected queue (front object and every handle dropped) counts
+    /// as a shutdown.
+    fn absorb(&mut self, rx: &Receiver<Command>, wait: Option<Duration>) {
+        let first = match wait {
+            Some(wait) => rx.recv_timeout(wait),
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
         };
-        let _ = ack.send(landed);
+        match first {
+            Ok(cmd) => self.dispatch(cmd, rx),
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => self.shutdown_pending = true,
+        }
+        let router_batch = self.cfg.router_batch.max(1);
+        while !self.shutdown_pending && self.pending_len < router_batch {
+            match rx.try_recv() {
+                Ok(cmd) => self.dispatch(cmd, rx),
+                Err(_) => break,
+            }
+        }
+        self.forward();
+    }
+
+    /// Kill one shard's worker (fault injection); true when the kill
+    /// landed. An out-of-range shard is logged and counted as a worker
+    /// error, never fatal.
+    fn kill(&mut self, shard: usize) -> bool {
+        if shard < self.services.len() {
+            return self.services[shard].inject_failure().is_ok();
+        }
+        self.shared.worker_errors.fetch_add(1, Ordering::Relaxed);
+        eprintln!(
+            "gpma-cluster: kill of shard {shard} out of range ({} shards); ignored",
+            self.services.len()
+        );
+        false
     }
 
     /// The live copy-on-write reshard protocol — ingest keeps flowing
@@ -1994,13 +1987,12 @@ impl Router {
         }
         // A cut round still in flight would barrier against shards the
         // copy below floods with internal traffic: drain it first.
-        self.resolve_pending_cut();
-        let from_policy = self.part.plan().name().to_string();
+        self.poll_cut(true);
         let old_plan = self.part.plan().clone();
         let new_n = new.num_shards().max(1);
         let old_n = self.services.len();
         let obs = self.shared.obs.clone();
-        obs.event(Stage::ReshardQuiesce, NO_SHARD, 0, EventKind::ReshardBegin, 0);
+        obs.event(Stage::ReshardSettle, NO_SHARD, 0, EventKind::ReshardBegin, 0);
         // Producer sends completing from here to the end of the reshard are
         // additionally sampled into `ingest.reshard` (see ClusterHandle).
         self.shared.reshard_active.store(true, Ordering::Relaxed);
@@ -2008,7 +2000,9 @@ impl Router {
         self.cow_sync_dirty = false;
         self.cow_recovered.clear();
         let mut cow = CowState {
-            new: new.clone(),
+            new,
+            from_policy: old_plan.name().to_string(),
+            auto,
             old_n,
             new_n,
             staged: vec![BTreeMap::new(); new_n],
@@ -2023,7 +2017,7 @@ impl Router {
         // frozen-cut copy. Ingest is not paused — the router returns to
         // absorbing traffic between every background round below.
         {
-            let _migrate = obs.span(Stage::ReshardMigrate);
+            let _copy = obs.span(Stage::ReshardCopy);
             for i in old_n..new_n {
                 let (svc, _) =
                     spawn_shard_service(i, &self.cfg, &self.device_cfg, nv, &[], &obs);
@@ -2031,53 +2025,21 @@ impl Router {
                 self.services.push(svc);
                 self.replay.push(Vec::new());
             }
-            if new_n > old_n {
-                if let Some(policy) = self.recovery.clone() {
-                    // Persist the fresh (empty) incarnations immediately
-                    // so a crash during the copy never restores a stale
-                    // checkpoint from a retired shard slot of the same id.
-                    let mut taken = 0u64;
-                    let mut total = 0u64;
-                    for i in old_n..new_n {
-                        let (saved, n) = self.save_checkpoint(&policy, i);
-                        if saved {
-                            taken += 1;
-                            total += n;
-                        }
-                    }
-                    let mut c = self.shared.router.lock();
-                    c.checkpoints_taken += taken;
-                    c.checkpoint_bytes += total;
-                }
-            }
+            // Persist the fresh (empty) incarnations immediately so a crash
+            // during the copy never restores a stale checkpoint from a
+            // retired shard slot of the same id.
+            self.checkpoint_shards(old_n..new_n);
             self.cow_full_sync(&mut cow);
         }
 
         // Phase B: background replay rounds interleaved with live ingest.
-        // The recv_timeout is the blocking point — traffic is absorbed the
+        // The absorb wait is the blocking point — traffic is absorbed the
         // moment it arrives, and an idle queue costs one short wait per
         // replay round instead of a busy spin.
-        let router_batch = self.cfg.router_batch.max(1);
         let mut rounds_left = COW_MAX_ROUNDS;
         loop {
-            match rx.recv_timeout(Duration::from_micros(500)) {
-                Ok(cmd) => self.cow_absorb(cmd),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => self.shutdown_pending = true,
-            }
-            while self.pending_len < router_batch {
-                match rx.try_recv() {
-                    Ok(cmd) => self.cow_absorb(cmd),
-                    Err(_) => break,
-                }
-            }
-            self.forward();
-            let shipped = if self.cow_sync_dirty {
-                self.cow_full_sync(&mut cow);
-                1
-            } else {
-                self.cow_replay_round(&mut cow)
-            };
+            self.absorb(rx, Some(Duration::from_micros(500)));
+            let shipped = self.cow_step(&mut cow);
             rounds_left -= 1;
             if self.shutdown_pending || rounds_left == 0 || (shipped == 0 && rx.is_empty()) {
                 break;
@@ -2086,69 +2048,36 @@ impl Router {
 
         // Phase B2: pre-settle. The staged copy is cheap to *ship* but the
         // destinations still owe its apply cost, and a naive final barrier
-        // would eat all of it inside the pause. Async barriers are FIFO
+        // would eat all of it inside the pause. Barrier rounds are FIFO
         // behind every staged ship, so keep absorbing ingest (and keep the
         // replay cursors warm) while the destinations chew through the
         // backlog. Each barrier flush itself produces delta residue the
-        // replay then ships, so reissue the barriers until a full round
-        // lands with nothing shipped and nothing queued — the settle below
-        // then finds empty queues and drained chains. Under saturating
-        // ingest this never converges; the reissue cap hands the (bounded)
-        // residue to the settle instead of looping forever.
+        // replay then ships, so reissue the round until one lands with
+        // nothing shipped and nothing queued — the settle below then finds
+        // empty queues and drained chains. Under saturating ingest this
+        // never converges; the reissue cap hands the (bounded) residue to
+        // the settle instead of looping forever. A dead worker's barrier
+        // is lost, not awaited: phase C's recovery settles it.
         if !self.shutdown_pending {
             let t = Instant::now();
             let mut reissues = COW_PRESETTLE_REISSUES;
-            'presettle: loop {
-                let mut waits: Vec<Option<Receiver<Arc<GraphSnapshot>>>> = self
-                    .services
-                    .iter()
-                    .map(|svc| svc.barrier_async().ok())
-                    .collect();
-                let mut shipped_since = 0u64;
-                loop {
-                    match rx.recv_timeout(Duration::from_micros(500)) {
-                        Ok(cmd) => self.cow_absorb(cmd),
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => self.shutdown_pending = true,
-                    }
-                    while self.pending_len < router_batch {
-                        match rx.try_recv() {
-                            Ok(cmd) => self.cow_absorb(cmd),
-                            Err(_) => break,
-                        }
-                    }
-                    self.forward();
-                    shipped_since += if self.cow_sync_dirty {
-                        self.cow_full_sync(&mut cow);
-                        1
-                    } else {
-                        self.cow_replay_round(&mut cow)
-                    };
-                    let mut all = true;
-                    for w in waits.iter_mut() {
-                        let done = match w {
-                            // A dead worker's ack never comes (Disconnected):
-                            // phase C's recovery settles it instead.
-                            Some(ack) => !matches!(ack.try_recv(), Err(TryRecvError::Empty)),
-                            None => true,
-                        };
-                        if done {
-                            *w = None;
-                        } else {
-                            all = false;
-                        }
-                    }
-                    if self.shutdown_pending {
-                        break 'presettle;
-                    }
-                    if all {
-                        reissues -= 1;
-                        if reissues == 0 || (shipped_since == 0 && rx.is_empty()) {
-                            break 'presettle;
-                        }
-                        continue 'presettle;
-                    }
+            let mut round = BarrierRound::issue(&self.services);
+            let mut shipped_since = 0u64;
+            loop {
+                self.absorb(rx, Some(Duration::from_micros(500)));
+                shipped_since += self.cow_step(&mut cow);
+                if self.shutdown_pending {
+                    break;
                 }
+                if !round.poll(false) {
+                    continue;
+                }
+                reissues -= 1;
+                if reissues == 0 || (shipped_since == 0 && rx.is_empty()) {
+                    break;
+                }
+                round = BarrierRound::issue(&self.services);
+                shipped_since = 0;
             }
             cow.background += t.elapsed();
         }
@@ -2159,7 +2088,7 @@ impl Router {
         // delta chain. Work done here is pause, not background: remember
         // the background total so the sync helpers' bookkeeping inside the
         // pause can be reverted.
-        let quiesce_span = obs.span(Stage::ReshardQuiesce);
+        let settle_span = obs.span(Stage::ReshardSettle);
         self.forward();
         self.ensure_shards_alive();
         if self.cow_sync_dirty {
@@ -2169,7 +2098,7 @@ impl Router {
         }
         let t0 = Instant::now();
         let background_before = cow.background;
-        let (snaps2, _) = self.barrier_all();
+        let (settled, _) = self.finish_round(BarrierRound::issue(&self.services));
         // The barrier flushed every source's trailing updates, so the
         // delta chains are now complete and static: replay them dry. After
         // this loop the staged images *are* the mover set — the frozen-cut
@@ -2191,39 +2120,9 @@ impl Router {
             }
         }
         cow.background = background_before;
-        drop(quiesce_span);
+        drop(settle_span);
 
         let migrated: usize = cow.staged.iter().map(|m| m.len()).sum();
-        // Retract every mover from its old owner: the staged copies on the
-        // destinations become the only live copies at the swap, keeping
-        // the marker cut duplicate-free. Retiring shards (shrink) skip the
-        // retraction — their stores are dropped whole below.
-        let mut retract_keys: Vec<Vec<u64>> = vec![Vec::new(); old_n];
-        for staged in &cow.staged {
-            for k in staged.keys() {
-                let (src, dst) = gpma_graph::decode_key(*k);
-                let from = old_plan.shard_of_edge(src, dst);
-                if from < new_n {
-                    retract_keys[from].push(*k);
-                }
-            }
-        }
-        // Each destination's staged map contributes a sorted run; the
-        // concatenation is not globally sorted, and the shard apply path
-        // wants key order — restore it before shipping.
-        let retract: Vec<Vec<Edge>> = retract_keys
-            .into_iter()
-            .map(|mut ks| {
-                ks.sort_unstable();
-                ks.into_iter()
-                    .map(|k| {
-                        let (src, dst) = gpma_graph::decode_key(k);
-                        Edge::new(src, dst)
-                    })
-                    .collect()
-            })
-            .collect();
-
         // Fast path: same shard count, nothing moved AND nothing was ever
         // staged — the new plan only changes where *future* updates route,
         // so swap it, reset the skew window (the rebalance cooldown) and
@@ -2234,47 +2133,28 @@ impl Router {
         // is what keeps a persistently hot vertex (skew irreducible by any
         // 1D plan) from thrashing every delta consumer once per window.
         if migrated == 0 && new_n == old_n && cow.copied == 0 && cow.replayed == 0 {
-            let resident_edges: usize = snaps2.iter().map(|s| s.edges().len()).sum();
             let pause_secs = t0.elapsed().as_secs_f64();
-            {
-                let mut c = self.shared.router.lock();
-                c.routed = vec![0; new_n];
-                c.sub_batches = vec![0; new_n];
-                c.reshard_count += 1;
-                c.migration_pause_secs += pause_secs;
-                c.migration_background_secs += cow.background.as_secs_f64();
+            self.swap_plan(&cow.new);
+            let resident: usize = settled.iter().map(|s| s.edges().len()).sum();
+            let cut = self.shared.snapshot.lock().cut();
+            return Ok(self.finish_reshard(cow, 0, resident, pause_secs, cut));
+        }
+
+        // Retract every mover from its old owner: the staged copies on the
+        // destinations become the only live copies at the swap, keeping
+        // the marker cut duplicate-free. Retiring shards (shrink) skip the
+        // retraction — their stores are dropped whole below. Each
+        // destination's staged map contributes a sorted run; the
+        // concatenation is not globally sorted, and the shard apply path
+        // wants key order — restore it before shipping.
+        let mut retract: Vec<Vec<Edge>> = vec![Vec::new(); old_n];
+        for staged in &cow.staged {
+            for e in staged.values() {
+                let from = old_plan.shard_of_edge(e.src, e.dst);
+                if from < new_n {
+                    retract[from].push(Edge::new(e.src, e.dst));
+                }
             }
-            {
-                let mut p = self.shared.partition.lock();
-                *p = p.advance(new.clone());
-                self.part = p.clone();
-            }
-            let report = ReshardReport {
-                version: self.part.version(),
-                from_policy,
-                to_policy: new.name().to_string(),
-                from_shards: old_n,
-                to_shards: new_n,
-                migrated_edges: 0,
-                resident_edges,
-                migration_bytes: 0,
-                full_rebuild_bytes: (resident_edges * BYTES_PER_UPDATE) as u64,
-                pause_secs,
-                background_secs: cow.background.as_secs_f64(),
-                cut: self.shared.snapshot.lock().cut(),
-                auto,
-            };
-            self.shared.reshards.lock().push(report.clone());
-            self.cow_active = false;
-            self.shared.reshard_active.store(false, Ordering::Relaxed);
-            obs.event(
-                Stage::ReshardResume,
-                NO_SHARD,
-                report.version,
-                EventKind::ReshardEnd,
-                (pause_secs * 1e6) as u64,
-            );
-            return Ok(report);
         }
 
         // Swap first, retract in the background. The staged copies on the
@@ -2290,29 +2170,23 @@ impl Router {
         // benign direction (snapshots carry their own shard structure);
         // cuts stay deferred until the post-retire marker publishes.
         let resume_span = obs.span(Stage::ReshardResume);
-        {
-            let mut p = self.shared.partition.lock();
-            *p = p.advance(new.clone());
-            self.part = p.clone();
-        }
-        self.pending = vec![UpdateBatch::default(); new_n];
-        self.pending_len = 0;
-        // Surviving shards keep their replay logs — until the fresh
-        // checkpoints below land, a death recovers from the pre-reshard
+        self.swap_plan(&cow.new);
+        // Surviving shards keep their replay logs — until the marker's
+        // fresh checkpoints land, a death recovers from the pre-reshard
         // checkpoint plus the log, which recorded every internal ship.
         self.replay.truncate(new_n);
-        for (i, edges) in retract.into_iter().enumerate() {
-            if edges.is_empty() {
+        for (i, mut deletions) in retract.into_iter().enumerate() {
+            if deletions.is_empty() {
                 continue;
             }
-            let b = UpdateBatch {
-                insertions: Vec::new(),
-                deletions: edges,
-            };
-            if self.recovery.is_some() {
-                self.replay[i].push(b.clone());
-            }
-            let _ = self.handles[i].ingest_unmetered(b);
+            deletions.sort_unstable_by_key(Edge::key);
+            self.ship(
+                i,
+                UpdateBatch {
+                    insertions: Vec::new(),
+                    deletions,
+                },
+            );
         }
         let pause_secs = t0.elapsed().as_secs_f64();
         {
@@ -2321,8 +2195,6 @@ impl Router {
             for t in &old_ledgers {
                 c.retired_transfer.merge(t);
             }
-            c.routed = vec![0; new_n];
-            c.sub_batches = vec![0; new_n];
             c.transfer = vec![TransferLedger::default(); new_n];
             for to in 0..new_n {
                 let n = cow.arrived[to];
@@ -2330,21 +2202,19 @@ impl Router {
                     c.transfer[to].record(&self.link, n * BYTES_PER_UPDATE);
                 }
             }
-            c.reshard_count += 1;
-            c.migrated_edges += migrated as u64;
-            c.migration_bytes += (migrated * BYTES_PER_UPDATE) as u64;
-            c.migration_pause_secs += pause_secs;
         }
         drop(resume_span);
 
         // Background retire: absorb live ingest under the new plan while
-        // the sources apply their retractions, then assemble the marker
+        // the sources apply their retractions, then publish the marker
         // cut. Replay rounds must NOT run in this window — the sources'
         // delta streams now carry the retraction deletions, and a replay
         // would ship them to the destinations as deletes of the live
         // copies. `cow_retiring` points a mid-window recovery at the
         // replay log for the same reason. Retiring shards (shrink) drain
-        // and drop here too: their stores are dead weight, not movers.
+        // and drop here too: their stores are dead weight, not movers. A
+        // dead worker's barrier is lost, not awaited: the pre-marker probe
+        // below recovers it.
         self.cow_retiring = true;
         let t_retire = Instant::now();
         if new_n < self.services.len() {
@@ -2353,93 +2223,54 @@ impl Router {
                 let _ = svc.shutdown();
             }
         }
-        let mut waits: Vec<Option<Receiver<Arc<GraphSnapshot>>>> = self
-            .services
-            .iter()
-            .map(|svc| svc.barrier_async().ok())
-            .collect();
+        let mut round = BarrierRound::issue(&self.services);
         loop {
-            match rx.recv_timeout(Duration::from_micros(500)) {
-                Ok(cmd) => self.cow_absorb(cmd),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => self.shutdown_pending = true,
-            }
-            while self.pending_len < router_batch {
-                match rx.try_recv() {
-                    Ok(cmd) => self.cow_absorb(cmd),
-                    Err(_) => break,
-                }
-            }
-            self.forward();
-            let mut all = true;
-            for w in waits.iter_mut() {
-                let done = match w {
-                    // A dead worker's ack never comes (Disconnected): the
-                    // pre-marker probe below recovers it.
-                    Some(ack) => !matches!(ack.try_recv(), Err(TryRecvError::Empty)),
-                    None => true,
-                };
-                if done {
-                    *w = None;
-                } else {
-                    all = false;
-                }
-            }
-            if self.shutdown_pending || all {
+            self.absorb(rx, Some(Duration::from_micros(500)));
+            if round.poll(false) || self.shutdown_pending {
                 break;
             }
         }
         self.forward();
         self.ensure_shards_alive();
-        let (snaps3, _) = self.barrier_all();
+        let marker = BarrierRound::issue(&self.services);
+        let marker_t0 = marker.started;
+        let (retired, _) = self.finish_round(marker);
         cow.background += t_retire.elapsed();
+        let snap = self.publish_cut(retired, marker_t0, true);
+        Ok(self.finish_reshard(cow, migrated, snap.num_edges(), pause_secs, snap.cut()))
+    }
 
-        let cut = self.shared.cuts.fetch_add(1, Ordering::Relaxed) + 1;
-        let snap = Arc::new(ClusterSnapshot::new(cut, nv, snaps3));
-        let total_edges = snap.num_edges();
-        self.last_cut_epochs = snap.shards().iter().map(|s| s.epoch()).collect();
-        *self.shared.snapshot.lock() = snap.clone();
-        self.shared.delta_log.lock().reset_to(cut);
-        if let Some(tx) = &self.cut_tx {
-            let _ = tx.send(CutEvent::Rebase(snap));
+    /// Swap the plan in force and restart the per-plan skew window (the
+    /// rebalance cooldown); the pending window follows the new shard count.
+    fn swap_plan(&mut self, new: &Arc<dyn Partitioner>) {
+        let n = new.num_shards().max(1);
+        {
+            let mut p = self.shared.partition.lock();
+            *p = p.advance(new.clone());
+            self.part = p.clone();
         }
-        // The marker barrier settled every surviving shard, so fresh
-        // checkpoints capture the fully retired post-migration state and
-        // trim the replay logs (client batches and internal ships alike)
-        // they subsume.
-        if let Some(policy) = self.recovery.clone() {
-            let mut taken = 0u64;
-            let mut total = 0u64;
-            for i in 0..self.services.len() {
-                let (saved, n) = self.save_checkpoint(&policy, i);
-                if saved {
-                    taken += 1;
-                    total += n;
-                }
-            }
-            let mut c = self.shared.router.lock();
-            c.checkpoints_taken += taken;
-            c.checkpoint_bytes += total;
-        }
-        self.shared.router.lock().migration_background_secs += cow.background.as_secs_f64();
+        self.pending.resize_with(n, UpdateBatch::default);
+        let mut c = self.shared.router.lock();
+        c.routed = vec![0; n];
+        c.sub_batches = vec![0; n];
+    }
 
-        self.cow_retiring = false;
-        self.cow_active = false;
-        self.shared.reshard_active.store(false, Ordering::Relaxed);
-        obs.event(
-            Stage::ReshardResume,
-            NO_SHARD,
-            self.part.version(),
-            EventKind::ReshardEnd,
-            (pause_secs * 1e6) as u64,
-        );
-
+    /// Close a reshard — the no-op swap and the full protocol alike:
+    /// account it, record its report and emit the `reshard_end` event.
+    fn finish_reshard(
+        &mut self,
+        cow: CowState,
+        migrated: usize,
+        total_edges: usize,
+        pause_secs: f64,
+        cut: u64,
+    ) -> ReshardReport {
         let report = ReshardReport {
             version: self.part.version(),
-            from_policy,
-            to_policy: new.name().to_string(),
-            from_shards: old_n,
-            to_shards: new_n,
+            from_policy: cow.from_policy,
+            to_policy: cow.new.name().to_string(),
+            from_shards: cow.old_n,
+            to_shards: cow.new_n,
             migrated_edges: migrated,
             resident_edges: total_edges.saturating_sub(migrated),
             migration_bytes: (migrated * BYTES_PER_UPDATE) as u64,
@@ -2447,10 +2278,28 @@ impl Router {
             pause_secs,
             background_secs: cow.background.as_secs_f64(),
             cut,
-            auto,
+            auto: cow.auto,
         };
+        {
+            let mut c = self.shared.router.lock();
+            c.reshard_count += 1;
+            c.migrated_edges += migrated as u64;
+            c.migration_bytes += report.migration_bytes;
+            c.migration_pause_secs += pause_secs;
+            c.migration_background_secs += report.background_secs;
+        }
         self.shared.reshards.lock().push(report.clone());
-        Ok(report)
+        self.cow_retiring = false;
+        self.cow_active = false;
+        self.shared.reshard_active.store(false, Ordering::Relaxed);
+        self.shared.obs.event(
+            Stage::ReshardResume,
+            NO_SHARD,
+            report.version,
+            EventKind::ReshardEnd,
+            (pause_secs * 1e6) as u64,
+        );
+        report
     }
 
     /// Reshard onto a degree-aware plan built from the observed per-vertex
@@ -2489,67 +2338,52 @@ impl Router {
         }
     }
 
-    /// Assemble the delta between the previous cut and this one: each
-    /// shard's inter-cut epoch chain folds into one per-shard delta, and
-    /// shards own disjoint edge sets, so their union is the cut's exact net
-    /// effect. A shard whose ring already evicted part of its chain forces
-    /// a full-snapshot fallback (counted, and pushed as a ring reset so
-    /// readers rebase too).
-    fn publish_cut_delta(&mut self, cut: u64, snap: &Arc<ClusterSnapshot>) {
-        let mut inserted: Vec<Edge> = Vec::new();
-        let mut deleted: Vec<u64> = Vec::new();
+    /// The delta between the previous cut and this one: each shard's
+    /// inter-cut epoch chain folds into one per-shard delta, and shards own
+    /// disjoint edge sets, so their union is the cut's exact net effect.
+    /// `None` — a ring-lag fallback, counted — when a shard's ring already
+    /// evicted part of its chain or a recovery restarted its epoch space.
+    fn cut_delta(&mut self, cut: u64, snap: &ClusterSnapshot) -> Option<Arc<SnapshotDelta>> {
         // A recovery since the last cut restarted a shard's epoch space, so
         // its inter-cut chain cannot be stitched: rebase this one cut.
         let mut lagged = std::mem::take(&mut self.force_rebase);
+        let mut inserted: Vec<Edge> = Vec::new();
+        let mut deleted: Vec<u64> = Vec::new();
         for (i, svc) in self.services.iter().enumerate() {
+            if lagged {
+                break;
+            }
             // Async cut rounds leave a gap between a shard acking its
             // barrier and the round completing; traffic forwarded in that
             // gap flushes as deltas *beyond* this cut. Fold only up to the
             // epoch the cut's own snapshot carries — later deltas belong
             // to the next cut's chain.
             let bound = snap.shards()[i].epoch();
-            if !lagged {
-                match svc.deltas_since(self.last_cut_epochs[i]) {
-                    DeltaCatchUp::Deltas(chain) => {
-                        let mut folded = SnapshotDelta::default();
-                        for d in chain.iter().filter(|d| d.epoch() <= bound) {
-                            folded.merge(d);
-                        }
-                        inserted.extend_from_slice(folded.inserted());
-                        deleted.extend_from_slice(folded.deleted_keys());
+            match svc.deltas_since(self.last_cut_epochs[i]) {
+                DeltaCatchUp::Deltas(chain) => {
+                    let mut folded = SnapshotDelta::default();
+                    for d in chain.iter().filter(|d| d.epoch() <= bound) {
+                        folded.merge(d);
                     }
-                    DeltaCatchUp::Snapshot(_) => lagged = true,
+                    inserted.extend_from_slice(folded.inserted());
+                    deleted.extend_from_slice(folded.deleted_keys());
                 }
+                DeltaCatchUp::Snapshot(_) => lagged = true,
             }
-            self.last_cut_epochs[i] = bound;
         }
         if lagged {
-            // Readers of the cluster ring must rebase: clear it so
-            // `deltas_since` reports the lag, and tell the monitors.
-            {
-                let mut log = self.shared.delta_log.lock();
-                let capacity = log.capacity();
-                *log = DeltaLog::new(capacity);
-            }
             self.shared.delta_fallbacks.fetch_add(1, Ordering::Relaxed);
-            if let Some(tx) = &self.cut_tx {
-                let _ = tx.send(CutEvent::Rebase(snap.clone()));
-            }
-            return;
+            return None;
         }
         inserted.sort_by_key(Edge::key);
         deleted.sort_unstable();
-        let delta = Arc::new(SnapshotDelta::from_parts(cut, inserted, deleted));
-        self.shared.delta_log.lock().push(delta.clone());
-        if let Some(tx) = &self.cut_tx {
-            let _ = tx.send(CutEvent::Delta(delta));
-        }
+        Some(Arc::new(SnapshotDelta::from_parts(cut, inserted, deleted)))
     }
 }
 
-/// The router loop: block on the queue, coalesce bursts into per-shard
-/// sub-batches, forward, serve cuts and stats, and on shutdown drain
-/// everything, final-cut and stop the shard services.
+/// The router loop: absorb and coalesce bursts into per-shard sub-batches,
+/// forward, serve cuts and stats, and on shutdown drain everything,
+/// final-cut and stop the shard services.
 fn run_router(
     rx: Receiver<Command>,
     services: Vec<StreamingService>,
@@ -2561,7 +2395,6 @@ fn run_router(
 ) -> Vec<ServiceReport> {
     let num_shards = services.len();
     let num_vertices = part.num_vertices();
-    let router_batch = cfg.router_batch.max(1);
     let recovery = cfg.recovery.clone();
     let fault = cfg.fault;
     let mut r = Router {
@@ -2584,7 +2417,7 @@ fn run_router(
         lifetime_routed: 0,
         replay: vec![Vec::new(); num_shards],
         force_rebase: false,
-        pending_cut: None,
+        cut: None,
         queued_cut_acks: Vec::new(),
         deferred: VecDeque::new(),
         cow_active: false,
@@ -2593,38 +2426,14 @@ fn run_router(
         cow_retiring: false,
         shutdown_pending: false,
     };
-    'serve: loop {
+    while !r.shutdown_pending {
         // With a cut round in flight, poll its barrier acks between short
         // queue waits instead of blocking on the queue — an idle cluster
         // must still complete its cuts.
-        let cmd = if r.pending_cut.is_some() {
-            match rx.recv_timeout(Duration::from_micros(200)) {
-                Ok(cmd) => Some(cmd),
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(RecvTimeoutError::Disconnected) => break 'serve,
-            }
-        } else {
-            match rx.recv() {
-                Ok(cmd) => Some(cmd),
-                // Front object and every handle dropped: final flush.
-                Err(_) => break 'serve,
-            }
-        };
-        let mut stop = false;
-        if let Some(cmd) = cmd {
-            stop = handle_command(cmd, &mut r, &rx);
-            // Coalesce whatever else is already queued before forwarding,
-            // so bursts ship as few, large modeled DMAs.
-            while !stop && r.pending_len < router_batch {
-                match rx.try_recv() {
-                    Ok(cmd) => stop = handle_command(cmd, &mut r, &rx),
-                    Err(_) => break,
-                }
-            }
-        }
-        r.forward();
-        r.poll_pending_cut(false);
-        if !stop {
+        let wait = r.cut.is_some().then_some(Duration::from_micros(200));
+        r.absorb(&rx, wait);
+        r.poll_cut(false);
+        if !r.shutdown_pending {
             r.maybe_rebalance(&rx);
         }
         // Cuts and plan changes a reshard deferred run now, in arrival
@@ -2632,65 +2441,30 @@ fn run_router(
         // `maybe_rebalance` so an auto-reshard's deferrals drain before
         // the loop blocks on the queue again — a parked cut ack would
         // otherwise wait on unrelated future traffic.
-        while !stop {
+        while !r.shutdown_pending {
             let Some(cmd) = r.deferred.pop_front() else {
                 break;
             };
-            stop = handle_command(cmd, &mut r, &rx);
-        }
-        if stop {
-            break 'serve;
+            r.dispatch(cmd, &rx);
         }
     }
-    // Shutdown (or disconnect) path: absorb everything still queued, then
-    // take the final coordinated cut and stop the shards.
+    // Shutdown (or disconnect): absorb everything still queued or
+    // deferred, then take the final coordinated cut — a round with no
+    // waiters, after any in-flight one — and stop the shards.
     while let Ok(cmd) = rx.try_recv() {
-        match cmd {
-            Command::Shutdown => {}
-            other => {
-                handle_command(other, &mut r, &rx);
-            }
-        }
+        r.dispatch(cmd, &rx);
     }
     while let Some(cmd) = r.deferred.pop_front() {
-        match cmd {
-            Command::Shutdown => {}
-            other => {
-                handle_command(other, &mut r, &rx);
-            }
-        }
+        r.dispatch(cmd, &rx);
     }
-    r.resolve_pending_cut();
-    r.cut_sync();
+    r.poll_cut(true);
+    r.start_cut_round(Vec::new());
+    r.poll_cut(true);
     r.handles.clear();
     r.services
         .drain(..)
         .map(|svc| svc.shutdown())
         .collect()
-}
-
-/// Apply one command. Returns `true` when the router must begin shutdown
-/// (an explicit `Shutdown`, or one absorbed mid-reshard).
-fn handle_command(cmd: Command, r: &mut Router, rx: &Receiver<Command>) -> bool {
-    match cmd {
-        Command::Insert(_) | Command::Delete(_) | Command::Batch(_) => r.route(cmd),
-        Command::Cut(ack) => r.begin_cut(ack),
-        Command::Reshard(new, ack) => {
-            let _ = ack.send(r.reshard(new, false, rx));
-        }
-        Command::Rebalance(target, ack) => {
-            let _ = ack.send(r.rebalance(target, false, rx));
-        }
-        Command::Stats(reply) => {
-            // Flush residue first so the reply (and the shared counters it
-            // is read alongside) reflect everything accepted so far.
-            r.forward();
-            let _ = reply.send(r.services.iter().map(|s| s.metrics()).collect());
-        }
-        Command::Kill(shard, ack) => r.kill(shard, ack),
-        Command::Shutdown => return true,
-    }
-    std::mem::take(&mut r.shutdown_pending)
 }
 
 #[cfg(test)]
@@ -2766,8 +2540,8 @@ mod tests {
             Stage::FlushApply,
             Stage::CutBarrier,
             Stage::CutPublish,
-            Stage::ReshardQuiesce,
-            Stage::ReshardMigrate,
+            Stage::ReshardSettle,
+            Stage::ReshardCopy,
             Stage::ReshardReplay,
             Stage::ReshardResume,
             Stage::CutAlign,
@@ -2893,6 +2667,54 @@ mod tests {
         assert_eq!(chain[1].len(), 4);
         let report = c.shutdown();
         assert_eq!(report.metrics.delta_fallbacks, 0);
+    }
+
+    #[test]
+    fn ring_lag_fallback_keeps_readers_at_that_cut_current() {
+        // A one-deep shard ring is outrun by any cut spanning two flushes,
+        // so the cut falls back to a rebase. A reader already at that cut
+        // is current: it must get an empty chain, not a second rebase.
+        let part = Arc::new(VertexPartition {
+            num_vertices: 16,
+            num_shards: 2,
+        });
+        let c = GraphCluster::spawn(
+            ClusterConfig {
+                flush_threshold: 4,
+                router_batch: 8,
+                shard_delta_log_capacity: 1,
+                ..Default::default()
+            },
+            &DeviceConfig::deterministic(),
+            part,
+            &[],
+        );
+        let h = c.handle();
+        for src in 0..4u32 {
+            for dst in 8..16u32 {
+                h.insert(Edge::new(src, dst)).unwrap(); // all on shard 0
+            }
+        }
+        let lagged = c.epoch_cut().unwrap();
+        assert_eq!(
+            c.metrics().unwrap().delta_fallbacks,
+            1,
+            "shard 0's ring was outrun"
+        );
+        assert!(matches!(
+            c.deltas_since(lagged.cut()),
+            DeltaCatchUp::Deltas(ref d) if d.is_empty()
+        ));
+        h.insert(Edge::new(9, 1)).unwrap();
+        let next = c.epoch_cut().unwrap();
+        match c.deltas_since(lagged.cut()) {
+            DeltaCatchUp::Deltas(chain) => {
+                assert_eq!(chain.len(), 1);
+                assert_eq!(chain[0].epoch(), next.cut());
+            }
+            DeltaCatchUp::Snapshot(_) => panic!("the chain resumes after the fallback cut"),
+        }
+        drop(c.shutdown());
     }
 
     #[test]

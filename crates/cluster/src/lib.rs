@@ -53,10 +53,11 @@
 //!   delta fallbacks, migration counters ([`MigrationStats`]) and every
 //!   shard's own [`ServiceMetrics`](gpma_service::ServiceMetrics).
 //! * **Elasticity** — [`GraphCluster::reshard`] migrates live onto any new
-//!   [`Partitioner`] (shard counts may grow or shrink): quiesce → minimal
-//!   edge-move set ([`MigrationPlan`]) shipped as device-to-device DMAs →
-//!   resume under the advanced [`PartitionEpoch`], publishing a
-//!   snapshot-style epoch marker so delta readers and monitors rebase
+//!   [`Partitioner`] (shard counts may grow or shrink) by copy-on-write:
+//!   a frozen-cut copy and delta-chain replay ship only the edges whose
+//!   owner changes, as device-to-device DMAs, while ingest keeps flowing;
+//!   a short settle swaps in the advanced [`PartitionEpoch`] and a
+//!   snapshot-style epoch marker lets delta readers and monitors rebase
 //!   exactly. [`GraphCluster::rebalance`] (or an automatic
 //!   [`RebalancePolicy`] in [`ClusterConfig`]) targets a [`DegreePartition`]
 //!   built from the router's observed per-vertex load — the skew-driven
@@ -123,7 +124,6 @@ pub use cluster::{
 };
 pub use gpma_core::checkpoint::{CheckpointStore, DirCheckpointStore, MemoryCheckpointStore};
 pub use gpma_core::delta::{DeltaCatchUp, SnapshotDelta};
-pub use gpma_core::migration::{EdgeMove, MigrationPlan, MigrationSummary};
 pub use gpma_service::DeltaMonitor;
 pub use metrics::{ClusterMetrics, MigrationStats, RecoveryStats, RoutingSkew};
 pub use snapshot::ClusterSnapshot;

@@ -51,7 +51,6 @@ pub mod delta;
 pub mod framework;
 pub mod gpma;
 pub mod gpma_plus;
-pub mod migration;
 pub mod multi;
 pub mod storage;
 pub mod update;
@@ -64,5 +63,4 @@ pub use csr::CsrView;
 pub use delta::{apply_delta, split_delta_moves, DeltaCatchUp, DeltaLog, SnapshotDelta};
 pub use gpma::{Gpma, LockStats};
 pub use gpma_plus::{GpmaPlus, PlusStats};
-pub use migration::{EdgeMove, MigrationPlan, MigrationSummary};
 pub use storage::{GpmaStorage, EMPTY};

@@ -149,7 +149,7 @@ impl IncrementalBfs {
             }
         }
         // Invalidate, then repair from the surviving boundary: a bounded
-        // multi-source unit-weight Dijkstra restricted to the orphaned set.
+        // multi-source unit-weight Dijkstra seeded at the orphaned set.
         for &v in &affected {
             self.dist[v as usize] = UNREACHED;
         }
@@ -167,15 +167,18 @@ impl IncrementalBfs {
                 heap.push(Reverse((best, v)));
             }
         }
+        // The delta's own insertions can re-seed an orphan *below* its old
+        // level, so relax every out-neighbor whose distance improves, not
+        // only the orphans: a surviving child must follow its parent down.
         while let Some(Reverse((d, v))) = heap.pop() {
             self.work += 1;
-            if self.dist[v as usize] != UNREACHED {
+            if d >= self.dist[v as usize] {
                 continue; // already repaired at an equal-or-better level
             }
             self.dist[v as usize] = d;
             for (w, _) in g.out_neighbors(v) {
                 self.work += 1;
-                if orphaned[w as usize] && self.dist[w as usize] == UNREACHED {
+                if d + 1 < self.dist[w as usize] {
                     heap.push(Reverse((d + 1, w)));
                 }
             }
@@ -292,6 +295,32 @@ mod tests {
         // One epoch both cuts the chain and reroutes it further out.
         step(&mut g, &mut bfs, 1, &[(0, 5), (5, 6), (6, 2)], &[(1, 2)]);
         assert_eq!(bfs.distances(), &[0, 1, 3, 4, UNREACHED, 1, 2]);
+    }
+
+    #[test]
+    fn reseeded_orphan_lowers_its_surviving_children() {
+        // 3 loses its parent 2 and gains the closer parent 0 in the same
+        // delta; 4 keeps its old support via 6, so it is never orphaned,
+        // yet its distance must drop with 3's: 4 → 2.
+        let snap = GraphSnapshot::from_edges(
+            0,
+            9,
+            vec![
+                Edge::new(0, 1),
+                Edge::new(1, 2),
+                Edge::new(2, 3),
+                Edge::new(3, 4),
+                Edge::new(0, 7),
+                Edge::new(7, 8),
+                Edge::new(8, 6),
+                Edge::new(6, 4),
+            ],
+        );
+        let mut g = DeltaGraph::from_snapshot(&snap);
+        let mut bfs = IncrementalBfs::new(0);
+        bfs.rebase(&g);
+        step(&mut g, &mut bfs, 1, &[(0, 3)], &[(2, 3)]);
+        assert_eq!(bfs.distances()[4], 2);
     }
 
     #[test]

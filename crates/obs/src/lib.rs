@@ -12,7 +12,7 @@
 //!   p50/p90/p99/p999 quantiles exact to one sub-bucket (~3% relative).
 //! * [`Stage`] — the closed static registry of instrumented pipeline
 //!   stages (ingest enqueue, flush drain/apply/publish, router
-//!   route/forward, cut barrier/publish, reshard quiesce/migrate/resume,
+//!   route/forward, cut barrier/publish, reshard copy/replay/settle/resume,
 //!   recovery detect/restore/replay, follower staleness).
 //! * [`SpanGuard`] — two-word RAII span timer; drop records elapsed µs.
 //! * [`ObsEvent`] — structured timeline events in a bounded ring.

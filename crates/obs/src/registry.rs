@@ -466,10 +466,10 @@ mod tests {
     #[test]
     fn json_contains_stages_and_events() {
         let r = Registry::new();
-        r.record(Stage::ReshardQuiesce, 5000);
-        r.event(Stage::ReshardQuiesce, NO_SHARD, 2, EventKind::ReshardBegin, 0);
+        r.record(Stage::ReshardSettle, 5000);
+        r.event(Stage::ReshardSettle, NO_SHARD, 2, EventKind::ReshardBegin, 0);
         let json = r.render_json();
-        assert!(json.contains("\"stage\": \"reshard.quiesce\""), "{json}");
+        assert!(json.contains("\"stage\": \"reshard.settle\""), "{json}");
         assert!(json.contains("\"kind\": \"reshard_begin\""), "{json}");
         assert!(json.contains("\"events_dropped\": 0"), "{json}");
     }
@@ -491,6 +491,6 @@ mod tests {
         r.record(Stage::CutBarrier, 1500);
         let t = r.render_table();
         assert!(t.contains("cut.barrier"), "{t}");
-        assert!(!t.contains("reshard.quiesce"), "{t}");
+        assert!(!t.contains("reshard.settle"), "{t}");
     }
 }

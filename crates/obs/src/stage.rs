@@ -37,15 +37,18 @@ pub enum Stage {
     CutPublish,
     /// Encoding + persisting one shard checkpoint.
     CheckpointSave,
-    /// Reshard: the quiesce barrier (ingest paused from here).
-    ReshardQuiesce,
-    /// Reshard: computing + shipping the migration plan.
-    ReshardMigrate,
+    /// Reshard: the settle — the final barrier round plus the replay that
+    /// drains the now-static delta chains (ingest paused from here to the
+    /// plan swap).
+    ReshardSettle,
+    /// Reshard: the frozen-cut copy — growing new shards and shipping every
+    /// edge whose owner changes to its destination (ingest keeps flowing).
+    ReshardCopy,
     /// Reshard: one background round splitting the in-flight delta chains
     /// across the new partition boundary and replaying the moved entries
     /// onto their destinations (ingest keeps flowing throughout).
     ReshardReplay,
-    /// Reshard: settle barrier, epoch-marker publish, plan swap (ingest
+    /// Reshard: plan swap and the movers' retraction enqueue (ingest
     /// resumes after).
     ReshardResume,
     /// Recovery: noticing a dead shard worker.
@@ -93,8 +96,8 @@ impl Stage {
         Stage::CutAlign,
         Stage::CutPublish,
         Stage::CheckpointSave,
-        Stage::ReshardQuiesce,
-        Stage::ReshardMigrate,
+        Stage::ReshardSettle,
+        Stage::ReshardCopy,
         Stage::ReshardReplay,
         Stage::ReshardResume,
         Stage::RecoveryDetect,
@@ -116,7 +119,7 @@ impl Stage {
         self as usize
     }
 
-    /// Dotted exposition name (`flush.apply`, `reshard.quiesce`, …).
+    /// Dotted exposition name (`flush.apply`, `reshard.settle`, …).
     pub fn name(self) -> &'static str {
         match self {
             Stage::IngestEnqueue => "ingest.enqueue",
@@ -131,8 +134,8 @@ impl Stage {
             Stage::CutAlign => "cut.align",
             Stage::CutPublish => "cut.publish",
             Stage::CheckpointSave => "checkpoint.save",
-            Stage::ReshardQuiesce => "reshard.quiesce",
-            Stage::ReshardMigrate => "reshard.migrate",
+            Stage::ReshardSettle => "reshard.settle",
+            Stage::ReshardCopy => "reshard.copy",
             Stage::ReshardReplay => "reshard.replay",
             Stage::ReshardResume => "reshard.resume",
             Stage::RecoveryDetect => "recovery.detect",
@@ -162,7 +165,7 @@ pub enum EventKind {
     Flush,
     /// A coordinated cut published.
     Cut,
-    /// A reshard started (quiesce entered).
+    /// A reshard started (frozen-cut copy entered).
     ReshardBegin,
     /// A reshard completed (ingest resumed).
     ReshardEnd,

@@ -124,12 +124,12 @@ fn main() {
 
     // What each reshard phase actually cost, and what ingest latency looked
     // like while one was in flight (DESIGN.md §13): `reshard.*` are the
-    // quiesce/migrate/resume spans, `ingest.reshard` is the client-observed
+    // settle/copy/replay/resume spans, `ingest.reshard` is the client-observed
     // enqueue latency sampled only while a reshard was active.
     let obs = cluster.obs();
     for stage in [
-        Stage::ReshardQuiesce,
-        Stage::ReshardMigrate,
+        Stage::ReshardSettle,
+        Stage::ReshardCopy,
         Stage::ReshardReplay,
         Stage::ReshardResume,
     ] {
