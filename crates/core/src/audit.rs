@@ -13,8 +13,8 @@
 //! redistribution rounds up. The validator therefore checks the exact
 //! post-conditions the update paths guarantee: every leaf holds at most
 //! `ceil(tau_leaf * seg_len)` entries, every level-`l` window at most
-//! `2^l` times that, and the root stays above its lower density bound
-//! (or the array is at its minimum capacity).
+//! `2^l` times that, and no smaller geometry could hold the live entries
+//! (the one shrink rule, [`GpmaStorage::shrink_target`](crate::storage::GpmaStorage::shrink_target)).
 
 use std::sync::Arc;
 
@@ -54,8 +54,9 @@ impl std::error::Error for AuditError {}
 
 impl GpmaPlus {
     /// Deep-validate the PMA state: sorted keys without duplicates, the len
-    /// counter in sync, one guard per vertex, a never-understated monotone
-    /// prefix-max index, and the density post-conditions above.
+    /// counter in sync, one guard per vertex, a never-understated per-leaf
+    /// max and monotone prefix-max index, and the density post-conditions
+    /// above.
     pub fn validate(&self) -> Result<(), AuditError> {
         let s = &self.storage;
         let geom = s.geometry();
@@ -98,8 +99,10 @@ impl GpmaPlus {
             )));
         }
 
-        // Prefix-max index: never understated, monotone.
+        // Leaf index: per-leaf max never understated, prefix max never
+        // understated and monotone.
         let seg_len = geom.seg_len;
+        let lm = s.leaf_max.as_slice();
         let pm = s.leaf_max_prefix.as_slice();
         let mut running = 0u64;
         for l in 0..geom.num_segs {
@@ -109,6 +112,12 @@ impl GpmaPlus {
                 .max()
                 .copied()
                 .unwrap_or(0);
+            if lm[l] < actual {
+                return Err(AuditError::Storage(format!(
+                    "leaf {l} max understated: {:#x} < {actual:#x}",
+                    lm[l]
+                )));
+            }
             running = running.max(actual);
             if pm[l] < running {
                 return Err(AuditError::Storage(format!(
@@ -149,19 +158,13 @@ impl GpmaPlus {
                 }
             }
         }
-        // Root lower bound: the shrink check of `apply_sorted` fires when
-        // the root drops below rho_root — unless the array is already at
-        // its minimum capacity, or the power-of-two rounding of the resize
-        // target means no smaller geometry could hold the entries (a fresh
-        // build/resize can legally sit just below rho_root for that
-        // reason).
-        let cap = geom.capacity();
-        let canonical = crate::storage::GpmaStorage::geometry_for(s.len()).capacity();
-        if !density.within_rho(s.len(), cap, height, height) && cap > 128 && cap != canonical {
+        // Root lower bound: the update path's own shrink rule.
+        if let Some(target) = s.shrink_target(s.len()) {
             return Err(AuditError::Storage(format!(
-                "root under-full: {} live in {cap} slots below rho_root with \
-                 room to shrink to {canonical}",
-                s.len()
+                "root under-full: {} live in {} slots with room to shrink to {}",
+                s.len(),
+                geom.capacity(),
+                target.capacity()
             )));
         }
         Ok(())

@@ -175,10 +175,36 @@ impl GpmaPlus {
             lazy_deletes: lazy,
             ..Default::default()
         };
-        if updates.is_empty() {
-            return stats;
+        if !updates.is_empty() {
+            self.apply_levels(dev, updates, &mut stats);
         }
 
+        // Post-batch shrink check (delete-heavy workloads): rebuild only
+        // when a smaller geometry holds the entries.
+        if self.storage.shrink_target(self.storage.len()).is_some() {
+            let empty = DeviceUpdates {
+                keys: DeviceBuffer::new(0),
+                vals: DeviceBuffer::new(0),
+                ops: DeviceBuffer::new(0),
+                len: 0,
+            };
+            self.resize_with_updates(dev, &empty);
+            stats.resizes += 1;
+        }
+
+        // The merges refreshed the per-leaf max of every leaf they rewrote
+        // (a resize rewrote all of them and re-scanned already); only the
+        // O(num_segs) prefix is left to re-scan.
+        if stats.levels > 0 && stats.resizes == 0 {
+            self.storage.refresh_leaf_prefix(dev);
+        }
+        stats
+    }
+
+    /// Lines 3-16 of Algorithm 4: locate every update's leaf, then merge
+    /// level by level until the batch is absorbed or the root overflows.
+    // lint: hot-path
+    fn apply_levels(&mut self, dev: &Device, updates: DeviceUpdates, stats: &mut PlusStats) {
         // Line 3: locate every update's leaf segment (coalesced binary
         // search — updates are sorted, so adjacent lanes walk the same path).
         let mut cur = updates;
@@ -210,7 +236,7 @@ impl GpmaPlus {
             // Size every reused level buffer (incl. the RLE scratch inputs
             // and the consumed mask process_level fills) up front.
             self.level_scratch.ensure(cur.len);
-            self.process_level(dev, &cur, &seg_ids, level, &mut stats);
+            self.process_level(dev, &cur, &seg_ids, level, stats);
 
             // Lines 12-15: drop consumed updates, promote the rest. The
             // four survivor streams share one keep-mask scan and scatter
@@ -260,26 +286,6 @@ impl GpmaPlus {
             cur.len = remaining;
             level += 1;
         }
-
-        // Post-batch shrink check (delete-heavy workloads): keep the root
-        // above its lower density bound.
-        let density = self.storage.density_config();
-        let h = self.storage.geometry().height();
-        let len = self.storage.len();
-        if !density.within_rho(len, self.storage.capacity(), h, h) && self.storage.capacity() > 128
-        {
-            let empty = DeviceUpdates {
-                keys: DeviceBuffer::new(0),
-                vals: DeviceBuffer::new(0),
-                ops: DeviceBuffer::new(0),
-                len: 0,
-            };
-            self.resize_with_updates(dev, &empty);
-            stats.resizes += 1;
-        }
-
-        self.storage.rebuild_leaf_max(dev);
-        stats
     }
 
     /// One level of Algorithm 4's loop: group updates into unique segments,
@@ -364,7 +370,7 @@ impl GpmaPlus {
                 let n = with_merge_scratch(|merged| {
                     merge_window_serial_into(lane, storage, ws..ws + window_slots, cur, s..s + c, merged);
                     // Redispatch evenly across the window's leaves,
-                    // left-packed.
+                    // left-packed, refreshing each leaf's max as it goes.
                     let leaves = window_slots / seg_len;
                     let n = merged.len();
                     let base = n / leaves;
@@ -373,15 +379,18 @@ impl GpmaPlus {
                     for leaf in 0..leaves {
                         let take = base + usize::from(leaf < extra);
                         let start = ws + leaf * seg_len;
+                        let mut max = 0u64;
                         for i in 0..seg_len {
                             if i < take {
                                 let (k, v) = it.next().expect("merge count mismatch");
                                 storage.keys.set(lane, start + i, k);
                                 storage.vals.set(lane, start + i, v);
+                                max = k;
                             } else {
                                 storage.keys.set(lane, start + i, EMPTY);
                             }
                         }
+                        storage.leaf_max.set(lane, ws / seg_len + leaf, max);
                     }
                     n
                 });
@@ -644,6 +653,81 @@ mod tests {
             cap0,
             g.storage.capacity()
         );
+    }
+
+    #[test]
+    fn sliding_window_below_rho_root_never_resizes() {
+        // 64 guards + 1336 edges = 1400 entries round up to 4096 slots, a
+        // root density of 0.342: under rho_root (0.40), yet no smaller
+        // power-of-two geometry holds them, so a shrink would rebuild the
+        // same capacity every slide.
+        let d = dev();
+        let nv = 64u32;
+        let stream: Vec<Edge> = (0..nv * (nv - 1))
+            .map(|i| (i * 2027) % (nv * (nv - 1)))
+            .map(|i| {
+                let (s, t) = (i / (nv - 1), i % (nv - 1));
+                Edge::weighted(s, if t >= s { t + 1 } else { t }, u64::from(i))
+            })
+            .collect();
+        let (window, b) = (1336usize, 16usize);
+        let mut g = GpmaPlus::build(&d, nv, &stream[..window]);
+        let cap = g.storage.capacity();
+        assert_eq!(cap, 4096);
+        assert!(g.storage.len() * 10 < cap * 4, "root density must sit below rho_root");
+        for slide in 0..32 {
+            let (lo, hi) = (slide * b, window + slide * b);
+            let batch = UpdateBatch {
+                insertions: stream[hi..hi + b].to_vec(),
+                deletions: stream[lo..lo + b].to_vec(),
+            };
+            let stats = g.update_batch_lazy(&d, &batch);
+            assert_eq!(stats.resizes, 0, "slide {slide} resized");
+            g.storage.check_invariants();
+            let expect: BTreeMap<(u32, u32), u64> = stream[lo + b..hi + b]
+                .iter()
+                .map(|e| ((e.src, e.dst), e.weight))
+                .collect();
+            assert_eq!(oracle_of(&g), expect, "slide {slide}");
+        }
+        assert_eq!(g.storage.capacity(), cap);
+    }
+
+    #[test]
+    fn delete_heavy_batch_shrinks_exactly_once() {
+        // 30 guards + 870 edges fill 2048 slots at 0.44; deleting 700
+        // edges leaves 200 entries, which fit 512 slots. Both update paths
+        // shrink once — the lazy one even when the batch holds no insert.
+        let nv = 30u32;
+        let all: Vec<Edge> = (0..nv)
+            .flat_map(|s| (0..nv).filter(move |&t| t != s).map(move |t| Edge::new(s, t)))
+            .collect();
+        for lazy in [false, true] {
+            let d = dev();
+            let mut g = GpmaPlus::build(&d, nv, &all);
+            assert_eq!(g.storage.capacity(), 2048);
+            let batch = UpdateBatch {
+                insertions: vec![],
+                deletions: all[..700].to_vec(),
+            };
+            let stats = if lazy {
+                g.update_batch_lazy(&d, &batch)
+            } else {
+                g.update_batch(&d, &batch)
+            };
+            assert_eq!(stats.resizes, 1, "lazy={lazy}");
+            assert_eq!(g.storage.capacity(), 512, "lazy={lazy}");
+            g.storage.check_invariants();
+            let expect: Vec<(u32, u32)> = all[700..].iter().map(|e| (e.src, e.dst)).collect();
+            let got: Vec<(u32, u32)> = oracle_of(&g).into_keys().collect();
+            assert_eq!(got, expect, "lazy={lazy}");
+            // The next batch finds nothing left to shrink.
+            let again = g.update_batch(&d, &UpdateBatch {
+                insertions: vec![Edge::new(0, 1)],
+                deletions: vec![],
+            });
+            assert_eq!(again.resizes, 0, "lazy={lazy}");
+        }
     }
 
     #[test]

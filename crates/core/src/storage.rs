@@ -6,8 +6,9 @@
 //! gaps (`EMPTY`). Every vertex owns an immortal *guard* entry `(v, ∞)` so
 //! row boundaries survive arbitrary edge churn. An implicit segment tree over
 //! fixed-size leaves carries the density thresholds of Figure 3. A per-leaf
-//! prefix-max array (rebuilt by a kernel after each batch) makes leaf lookup
-//! a coalesced binary search.
+//! max array, refreshed only for the leaves a batch rewrites, and its
+//! inclusive prefix max (re-scanned after each batch) make leaf lookup a
+//! coalesced binary search.
 
 use gpma_graph::edge::{guard_key, Edge, GUARD_DST};
 use gpma_pma::{DensityConfig, Geometry};
@@ -22,7 +23,11 @@ pub struct GpmaStorage {
     pub keys: DeviceBuffer<u64>,
     /// Slot values (edge weights; unused for guards).
     pub vals: DeviceBuffer<u64>,
-    /// Inclusive prefix max of per-leaf max keys (empty leaves inherit),
+    /// Max key per leaf (0 for an empty leaf). Written by every kernel that
+    /// redistributes a leaf; may overstate after lazy deletes, never
+    /// understates.
+    pub leaf_max: DeviceBuffer<u64>,
+    /// Inclusive prefix max of [`Self::leaf_max`] (empty leaves inherit),
     /// non-decreasing — the device-side leaf index.
     pub leaf_max_prefix: DeviceBuffer<u64>,
     geom: Geometry,
@@ -61,6 +66,7 @@ impl GpmaStorage {
         let mut storage = GpmaStorage {
             keys: DeviceBuffer::filled(EMPTY, geom.capacity()),
             vals: DeviceBuffer::new(geom.capacity()),
+            leaf_max: DeviceBuffer::new(geom.num_segs),
             leaf_max_prefix: DeviceBuffer::new(geom.num_segs),
             geom,
             density: DensityConfig::default(),
@@ -74,14 +80,25 @@ impl GpmaStorage {
         let src_keys = DeviceBuffer::from_slice(&entries.iter().map(|&(k, _)| k).collect::<Vec<_>>());
         let src_vals = DeviceBuffer::from_slice(&entries.iter().map(|&(_, v)| v).collect::<Vec<_>>());
         storage.redispatch_window(dev, 0..storage.geom.capacity(), &src_keys, &src_vals, n);
-        storage.rebuild_leaf_max(dev);
+        storage.refresh_leaf_prefix(dev);
         storage
     }
 
     /// Geometry for `n` live entries at ~60% root density.
-    pub(crate) fn geometry_for(n: usize) -> Geometry {
+    fn geometry_for(n: usize) -> Geometry {
         let min_slots = ((n as f64 / 0.6).ceil() as usize).max(64);
         Geometry::for_capacity(min_slots)
+    }
+
+    /// The smaller geometry `len` live entries should shrink to, if one
+    /// exists. Build and resize round `len / 0.6` slots up to a power of
+    /// two, so a fresh array sits anywhere in (0.30, 0.60] root density and
+    /// "below `rho_root`" alone would re-resize to the same capacity every
+    /// batch; this is the one shrink rule the update path and the audit
+    /// share.
+    pub fn shrink_target(&self, len: usize) -> Option<Geometry> {
+        let target = Self::geometry_for(len);
+        (target.capacity() < self.capacity()).then_some(target)
     }
 
     // ------------------------------------------------------------------
@@ -174,13 +191,14 @@ impl GpmaStorage {
     // Leaf search
     // ------------------------------------------------------------------
 
-    /// Rebuild the per-leaf prefix-max index with device kernels:
-    /// leaf-local max, then a blocked inclusive max-scan.
+    /// Rebuild the whole leaf index with device kernels: every leaf's max
+    /// (a full slot scan), then [`Self::refresh_leaf_prefix`]. For writers
+    /// that do not maintain [`Self::leaf_max`] themselves (lock-based GPMA).
     pub fn rebuild_leaf_max(&mut self, dev: &Device) {
         let seg_len = self.geom.seg_len;
         let num_segs = self.geom.num_segs;
         let keys = &self.keys;
-        let local = DeviceBuffer::<u64>::new(num_segs);
+        let local = &self.leaf_max;
         dev.launch("leaf_local_max", num_segs, |lane| {
             let l = lane.tid;
             let mut max = 0u64;
@@ -192,7 +210,13 @@ impl GpmaStorage {
             }
             local.set(lane, l, max);
         });
-        inclusive_max_scan(dev, &local, &self.leaf_max_prefix);
+        self.refresh_leaf_prefix(dev);
+    }
+
+    /// Re-scan the prefix index from the per-leaf maxes: O(`num_segs`),
+    /// for after a batch whose merges refreshed their own leaves.
+    pub fn refresh_leaf_prefix(&self, dev: &Device) {
+        inclusive_max_scan(dev, &self.leaf_max, &self.leaf_max_prefix);
     }
 
     /// Device-side binary search: index of the leaf where `key` belongs
@@ -258,7 +282,8 @@ impl GpmaStorage {
 
     /// Evenly redistribute the first `n` entries of `src_keys`/`src_vals`
     /// (sorted) across `window`, left-packing each leaf — the "re-dispatch
-    /// entries evenly" step. Fully parallel: one lane per leaf.
+    /// entries evenly" step. Fully parallel: one lane per leaf, which also
+    /// writes its leaf's [`Self::leaf_max`] (the prefix is left stale).
     pub fn redispatch_window(
         &self,
         dev: &Device,
@@ -277,21 +302,25 @@ impl GpmaStorage {
         let extra = n % leaves;
         let keys = &self.keys;
         let vals = &self.vals;
+        let leaf_max = &self.leaf_max;
         dev.launch("redispatch", leaves, |lane| {
             let j = lane.tid;
             let take = base + usize::from(j < extra);
             let src_from = j * base + j.min(extra);
             let dst_from = (first_leaf + j) * seg_len;
+            let mut max = 0u64;
             for i in 0..seg_len {
                 if i < take {
                     let k = src_keys.get(lane, src_from + i);
                     let v = src_vals.get(lane, src_from + i);
                     keys.set(lane, dst_from + i, k);
                     vals.set(lane, dst_from + i, v);
+                    max = k;
                 } else {
                     keys.set(lane, dst_from + i, EMPTY);
                 }
             }
+            leaf_max.set(lane, first_leaf + j, max);
         });
     }
 
@@ -381,11 +410,12 @@ impl GpmaStorage {
         let geom = Self::geometry_for(n);
         self.keys = DeviceBuffer::filled(EMPTY, geom.capacity());
         self.vals = DeviceBuffer::new(geom.capacity());
+        self.leaf_max = DeviceBuffer::new(geom.num_segs);
         self.leaf_max_prefix = DeviceBuffer::new(geom.num_segs);
         self.geom = geom;
         self.redispatch_window(dev, 0..geom.capacity(), merged_keys, merged_vals, n);
         self.len_counter.host_write(0, n as u64);
-        self.rebuild_leaf_max(dev);
+        self.refresh_leaf_prefix(dev);
     }
 
     // ------------------------------------------------------------------
@@ -440,9 +470,10 @@ impl GpmaStorage {
             }
         }
         assert_eq!(guards, self.num_vertices as usize, "guards lost");
-        // Prefix-max index must never understate (overstating is legal after
-        // lazy deletions).
+        // The per-leaf max and its prefix must never understate
+        // (overstating is legal after lazy deletions).
         let seg_len = self.geom.seg_len;
+        let lm = self.leaf_max.as_slice();
         let pm = self.leaf_max_prefix.as_slice();
         let mut running = 0u64;
         for l in 0..self.geom.num_segs {
@@ -452,6 +483,7 @@ impl GpmaStorage {
                 .max()
                 .copied()
                 .unwrap_or(0);
+            assert!(lm[l] >= actual, "leaf {l} max understated");
             running = running.max(actual);
             assert!(pm[l] >= running, "leaf {l} prefix max understated");
             assert!(l == 0 || pm[l] >= pm[l - 1], "prefix max not monotone");
@@ -672,6 +704,15 @@ mod tests {
         let mut lane = Lane::test_lane(0);
         let total = s.count_window(&mut lane, 0..s.capacity());
         assert_eq!(total, s.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "max understated")]
+    fn understated_leaf_max_fails_invariants() {
+        let d = dev();
+        let mut s = GpmaStorage::build(&d, 8, &edges(&[(0, 1), (1, 2), (3, 4)]));
+        s.leaf_max.host_write(0, 0);
+        s.check_invariants();
     }
 
     #[test]

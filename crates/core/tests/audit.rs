@@ -100,6 +100,25 @@ fn understated_prefix_max_is_rejected() {
     }
 }
 
+#[test]
+fn understated_leaf_max_is_rejected() {
+    // The prefix index stays intact; only the persisted per-leaf max of a
+    // populated leaf drops below that leaf's largest key.
+    let (_dev, mut g) = build_plus(16, &star_edges(12));
+    let seg_len = g.storage.geometry().seg_len;
+    let keys = g.storage.keys.as_slice();
+    let leaf = (0..g.storage.leaf_max.len())
+        .find(|&l| keys[l * seg_len..(l + 1) * seg_len].iter().any(|&k| k != EMPTY))
+        .expect("a populated leaf");
+    g.storage.leaf_max.host_write(leaf, 0);
+    match g.validate() {
+        Err(AuditError::Storage(m)) => {
+            assert!(m.contains(&format!("leaf {leaf} max understated")), "{m}")
+        }
+        other => panic!("expected leaf-max rejection, got {other:?}"),
+    }
+}
+
 // --------------------------------------------------------------- delta log
 
 fn delta(epoch: u64, inserts: &[(u32, u32)]) -> Arc<SnapshotDelta> {
@@ -239,18 +258,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Every epoch of a random insert/delete stream leaves both the PMA
-    /// state and the delta ring audit-clean, on the lazy and eager paths.
+    /// state and the delta ring audit-clean. Each batch picks the lazy or
+    /// the eager path, so both run against the per-leaf max the other left.
     #[test]
     fn random_stream_stays_audit_clean(
-        batches in prop::collection::vec(prop::collection::vec(op_strategy(), 1..40), 1..7),
-        lazy in any::<bool>(),
+        batches in prop::collection::vec(
+            (prop::collection::vec(op_strategy(), 1..40), any::<bool>()),
+            1..7,
+        ),
     ) {
         let dev = Device::new(DeviceConfig::deterministic());
         let mut g = GpmaPlus::build(&dev, NV, &[]);
         let mut log = DeltaLog::new(4);
-        for (i, ops) in batches.iter().enumerate() {
+        for (i, (ops, lazy)) in batches.iter().enumerate() {
             let b = to_batch(ops);
-            if lazy {
+            if *lazy {
                 g.update_batch_lazy(&dev, &b);
             } else {
                 g.update_batch(&dev, &b);

@@ -364,6 +364,12 @@ const RADIX: usize = 1 << RADIX_BITS;
 
 /// Stable LSD radix sort of `(key, value)` pairs by full 64-bit key
 /// (CUB `DeviceRadixSort::SortPairs`). Sorts in place.
+///
+/// One OR/AND reduction over the keys runs first; every 8-bit pass whose
+/// digit is the same in all keys is skipped. A stable pass over a constant
+/// digit is the identity, so the output is bit-identical to running all
+/// eight — but edge keys `src << 32 | dst` over fewer than 2^16 vertices
+/// pay for four passes instead of eight.
 pub fn radix_sort_pairs_u64(
     dev: &Device,
     keys: &mut DeviceBuffer<u64>,
@@ -380,8 +386,12 @@ pub fn radix_sort_pairs_u64(
     let mut dst_k = DeviceBuffer::<u64>::new(n);
     let mut dst_v = DeviceBuffer::<u64>::new(n);
 
+    let varying = varying_key_bits(dev, &src_k, nb);
     for pass in 0..(64 / RADIX_BITS) {
         let shift = pass * RADIX_BITS;
+        if (varying >> shift) & 0xFF == 0 {
+            continue;
+        }
         radix_pass(
             dev,
             n,
@@ -397,7 +407,7 @@ pub fn radix_sort_pairs_u64(
         std::mem::swap(&mut src_k, &mut dst_k);
         std::mem::swap(&mut src_v, &mut dst_v);
     }
-    // 8 passes = even number of swaps: result lives in src_k/src_v.
+    // Every pass swaps, so the result always lives in src_k/src_v.
     *keys = src_k;
     *vals = src_v;
 }
@@ -406,6 +416,35 @@ pub fn radix_sort_pairs_u64(
 pub fn radix_sort_u64(dev: &Device, keys: &mut DeviceBuffer<u64>) {
     let mut dummy = DeviceBuffer::<u64>::new(keys.len());
     radix_sort_pairs_u64(dev, keys, &mut dummy);
+}
+
+/// Bits that differ between at least two of the `n > 0` keys:
+/// `OR(keys) ^ AND(keys)`, as per-block partials and one combining lane.
+fn varying_key_bits(dev: &Device, keys: &DeviceBuffer<u64>, nb: usize) -> u64 {
+    let n = keys.len();
+    let ors = DeviceBuffer::<u64>::new(nb);
+    let ands = DeviceBuffer::<u64>::new(nb);
+    dev.launch("radix_bits_blocks", nb, |lane| {
+        let b = lane.tid;
+        let (mut or, mut and) = (0u64, u64::MAX);
+        for i in b * BLOCK..((b + 1) * BLOCK).min(n) {
+            let k = keys.get(lane, i);
+            or |= k;
+            and &= k;
+        }
+        ors.set(lane, b, or);
+        ands.set(lane, b, and);
+    });
+    let varying = DeviceBuffer::<u64>::new(1);
+    dev.launch("radix_bits_final", 1, |lane| {
+        let (mut or, mut and) = (0u64, u64::MAX);
+        for b in 0..nb {
+            or |= ors.get(lane, b);
+            and &= ands.get(lane, b);
+        }
+        varying.set(lane, 0, or ^ and);
+    });
+    varying.host_read(0)
 }
 
 /// The ping-pong buffer set one radix pass reads from and scatters into.

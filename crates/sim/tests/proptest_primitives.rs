@@ -34,6 +34,58 @@ proptest! {
     }
 
     #[test]
+    fn sort_pairs_skipping_constant_digits_matches_stable_sort(
+        data in prop::collection::vec(any::<u64>(), 0..1200),
+        shape in 0usize..4,
+        mask in any::<u64>(),
+        fill in any::<u64>(),
+    ) {
+        // Key sets whose digits are partly constant: bytes masked in from
+        // `fill`, all-equal keys, only the top byte varying, full width.
+        let keys: Vec<u64> = match shape {
+            0 => data.iter().map(|&k| (k & mask) | (fill & !mask)).collect(),
+            1 => vec![fill; data.len()],
+            2 => data.iter().map(|&k| (k & (0xFF << 56)) | (fill >> 8)).collect(),
+            _ => data,
+        };
+        let d = det();
+        let mut dk = DeviceBuffer::from_slice(&keys);
+        let mut dv = DeviceBuffer::from_slice(&(0..keys.len() as u64).collect::<Vec<_>>());
+        primitives::radix_sort_pairs_u64(&d, &mut dk, &mut dv);
+        // Stable reference: equal keys keep their input order.
+        let mut expect: Vec<(u64, u64)> = keys.iter().copied().zip(0..).collect();
+        expect.sort_by_key(|&(k, _)| k);
+        let got: Vec<(u64, u64)> = dk.to_vec().into_iter().zip(dv.to_vec()).collect();
+        prop_assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn radix_runs_one_pass_per_varying_byte(
+        varying in any::<u8>(),
+        data in prop::collection::vec(any::<u64>(), 2..600),
+        fill in any::<u64>(),
+    ) {
+        // Byte b of every key comes from `data` iff bit b of `varying` is
+        // set; the first two keys force each such byte to really differ.
+        let byte_mask = (0..8)
+            .filter(|b| varying & (1 << b) != 0)
+            .fold(0u64, |m, b| m | (0xFF << (8 * b)));
+        let mut keys: Vec<u64> = data.iter().map(|&k| (k & byte_mask) | (fill & !byte_mask)).collect();
+        keys[0] &= !byte_mask;
+        keys[1] |= byte_mask;
+        let d = det();
+        let mut dk = DeviceBuffer::from_slice(&keys);
+        primitives::radix_sort_u64(&d, &mut dk);
+        let names: Vec<String> = d.metrics().recent.into_iter().map(|k| k.name).collect();
+        let count = |name: &str| names.iter().filter(|n| *n == name).count();
+        let k = varying.count_ones() as usize;
+        prop_assert_eq!(count("radix_hist"), k);
+        prop_assert_eq!(count("radix_scatter"), k);
+        keys.sort_unstable();
+        prop_assert_eq!(dk.to_vec(), keys);
+    }
+
+    #[test]
     fn scan_matches_prefix_sums(data in prop::collection::vec(0u32..1000, 0..3000)) {
         let d = det();
         let (out, total) = primitives::exclusive_scan_u32(&d, &DeviceBuffer::from_slice(&data));
