@@ -12,7 +12,9 @@ use crossbeam::channel::{
     bounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError,
 };
 use gpma_core::checkpoint::{Checkpoint, CheckpointStore, MemoryCheckpointStore};
-use gpma_core::delta::{apply_delta, split_delta_moves, DeltaCatchUp, DeltaLog, SnapshotDelta};
+use gpma_core::delta::{
+    apply_chain, fold_chain, split_delta_moves, DeltaCatchUp, DeltaLog, SnapshotDelta,
+};
 use gpma_core::framework::{DynamicGraphSystem, GraphSnapshot, BYTES_PER_UPDATE};
 use gpma_core::multi::{DegreePartition, PartitionEpoch, Partitioner};
 use gpma_graph::{Edge, UpdateBatch};
@@ -22,6 +24,7 @@ use gpma_sim::pcie::{Pcie, TransferLedger};
 use gpma_sim::{Device, DeviceConfig, PcieConfig};
 use parking_lot::Mutex;
 
+use crate::affinity;
 use crate::metrics::ClusterMetrics;
 use crate::snapshot::ClusterSnapshot;
 
@@ -617,7 +620,8 @@ impl GraphCluster {
         let mut services = Vec::with_capacity(num_shards);
         let mut initial_snaps = Vec::with_capacity(num_shards);
         for (i, edges) in per_shard.iter().enumerate() {
-            let (svc, initial) = spawn_shard_service(i, &cfg, device_cfg, num_vertices, edges, &obs);
+            let (svc, initial) =
+                spawn_shard_service(i, num_shards, &cfg, device_cfg, num_vertices, edges, &obs);
             initial_snaps.push(initial);
             services.push(svc);
         }
@@ -1004,11 +1008,22 @@ impl Drop for GraphCluster {
 }
 
 /// Build one shard's service: simulated device, GPMA+ system, streaming
-/// facade — the single recipe both the spawn path and the reshard
-/// scale-out path use, so reshard-created shards can never silently
-/// diverge from spawn-created ones.
+/// facade — the single recipe the spawn, reshard scale-out and recovery
+/// respawn paths all use, so no shard can silently diverge from another.
+///
+/// A shard publishes its O(|Δ|) delta on every flush but a full O(E)
+/// snapshot only every `shard_delta_log_capacity` flushes (the most the
+/// service's cadence clamp allows). Nothing in the cluster reads the
+/// per-flush snapshots: a cut takes the snapshot its barrier ack carries
+/// (the barrier materializes one), cut deltas come from the rings, and
+/// `frozen_cut` / `checkpoint` fold the ring onto the latest snapshot.
+///
+/// When the process may use at least `num_shards` cores, the worker is
+/// pinned to the `shard`-th of them ([`affinity::pin_shard_thread`]), so
+/// shards flush in parallel from the first batch on.
 fn spawn_shard_service(
     shard: usize,
+    num_shards: usize,
     cfg: &ClusterConfig,
     device_cfg: &DeviceConfig,
     num_vertices: u32,
@@ -1024,7 +1039,7 @@ fn spawn_shard_service(
         ServiceConfig {
             queue_capacity: cfg.shard_queue_capacity,
             delta_log_capacity: cfg.shard_delta_log_capacity,
-            ..Default::default()
+            snapshot_interval: cfg.shard_delta_log_capacity,
         },
         sys,
         Vec::new(),
@@ -1032,6 +1047,10 @@ fn spawn_shard_service(
         obs.clone(),
         shard as u32,
     );
+    // Give the worker its own core when there are enough (see `affinity`).
+    // Best effort: a closed service or an unpinnable thread leaves the
+    // placement to the OS.
+    let _ = svc.ad_hoc(move |_| affinity::pin_shard_thread(shard, num_shards));
     (svc, initial)
 }
 
@@ -1416,9 +1435,9 @@ impl Router {
     ///    worker's surviving delta ring (`deltas_since` on its front
     ///    object), covering every flush after the checkpoint.
     /// 3. **Snapshot fallback** — if the ring was outrun (or step 1 found
-    ///    nothing usable), rebase on the dead worker's last *published*
-    ///    snapshot instead; counted in
-    ///    [`ClusterMetrics::recovery_snapshot_fallbacks`].
+    ///    nothing usable), rebase on the dead worker's frozen cut (its last
+    ///    published snapshot aligned forward to the ring head) instead;
+    ///    counted in [`ClusterMetrics::recovery_snapshot_fallbacks`].
     /// 4. **Respawn + log replay** — build a fresh service from the
     ///    recovered edge set (epochs restart at 0), re-ingest this shard's
     ///    replay log (idempotent; covers updates that died unflushed),
@@ -1456,29 +1475,37 @@ impl Router {
         };
         let dead = &self.services[i];
         let recovered = match restored_ckpt {
-            Some(mut state) => match dead.deltas_since(state.epoch()) {
+            Some(state) => match dead.deltas_since(state.epoch()) {
                 DeltaCatchUp::Deltas(chain) => {
-                    for d in &chain {
-                        state = apply_delta(&state, d);
-                    }
                     replayed_deltas = chain.len() as u64;
-                    state
+                    apply_chain(&state, &chain)
                 }
-                DeltaCatchUp::Snapshot(s) => {
+                // The latest published snapshot can trail the last flush by
+                // up to a ring of epochs; the aligned cut is as fresh as the
+                // ring head.
+                DeltaCatchUp::Snapshot(_) => {
                     fallback = true;
-                    (*s).clone()
+                    (*dead.frozen_cut()).clone()
                 }
             },
             None => {
                 fallback = true;
-                (*dead.snapshot()).clone()
+                (*dead.frozen_cut()).clone()
             }
         };
         drop(restore_span);
 
         let replay_span = obs.span(Stage::RecoveryReplay);
-        let (svc, _) =
-            spawn_shard_service(i, &self.cfg, &self.device_cfg, nv, recovered.edges(), &obs);
+        let n = self.services.len();
+        let (svc, _) = spawn_shard_service(
+            i,
+            n,
+            &self.cfg,
+            &self.device_cfg,
+            nv,
+            recovered.edges(),
+            &obs,
+        );
         let log = std::mem::take(&mut self.replay[i]);
         let replayed_updates: u64 = log.iter().map(|b| b.len() as u64).sum();
         let h = svc.handle();
@@ -2020,7 +2047,7 @@ impl Router {
             let _copy = obs.span(Stage::ReshardCopy);
             for i in old_n..new_n {
                 let (svc, _) =
-                    spawn_shard_service(i, &self.cfg, &self.device_cfg, nv, &[], &obs);
+                    spawn_shard_service(i, new_n, &self.cfg, &self.device_cfg, nv, &[], &obs);
                 self.handles.push(svc.handle());
                 self.services.push(svc);
                 self.replay.push(Vec::new());
@@ -2361,10 +2388,8 @@ impl Router {
             let bound = snap.shards()[i].epoch();
             match svc.deltas_since(self.last_cut_epochs[i]) {
                 DeltaCatchUp::Deltas(chain) => {
-                    let mut folded = SnapshotDelta::default();
-                    for d in chain.iter().filter(|d| d.epoch() <= bound) {
-                        folded.merge(d);
-                    }
+                    let folded =
+                        fold_chain(chain.iter().filter(|d| d.epoch() <= bound).map(|d| &**d));
                     inserted.extend_from_slice(folded.inserted());
                     deleted.extend_from_slice(folded.deleted_keys());
                 }
@@ -3063,6 +3088,89 @@ mod tests {
         assert_eq!(m.recoveries, 0, "no recovery policy, no respawn");
         let report = c.shutdown();
         assert!(report.metrics.worker_errors >= 3);
+    }
+
+    #[test]
+    fn shards_publish_a_snapshot_per_barrier_not_per_flush() {
+        let part = Arc::new(VertexPartition {
+            num_vertices: 16,
+            num_shards: 4,
+        });
+        let c = spawn4(part, &[]);
+        let h = c.handle();
+        let mut oracle = Vec::new();
+        for round in 1..=2u64 {
+            // Every shard owns four sources; four edges each is four
+            // threshold-sized flushes per shard per round.
+            for s in 0..16u32 {
+                for d in 0..4u32 {
+                    let e = Edge::new(s, (s + d + round as u32 * 4) % 16);
+                    h.insert(e).unwrap();
+                    oracle.push(e);
+                }
+            }
+            let cut = c.epoch_cut().unwrap();
+            let expect = GraphSnapshot::from_edges(0, 16, oracle.clone());
+            assert_eq!(
+                cut.to_graph_snapshot().edges(),
+                expect.edges(),
+                "round {round}"
+            );
+            let m = c.metrics().unwrap();
+            for (i, shard) in m.shards.iter().enumerate() {
+                let p = &shard.publication;
+                assert!(p.deltas >= 4 * round, "shard {i}: {} deltas", p.deltas);
+                assert_eq!(p.snapshots, round, "shard {i}: one snapshot per barrier");
+            }
+        }
+        c.shutdown();
+    }
+
+    #[test]
+    fn degraded_cut_folds_the_flushes_after_the_last_barrier() {
+        // No recovery policy, and shard snapshots are published only at
+        // barriers: a shard killed k flushes after its last barrier must
+        // still contribute exactly those k flushes, through its frozen
+        // cut (last barrier snapshot + ring).
+        let part = Arc::new(VertexPartition {
+            num_vertices: 16,
+            num_shards: 4,
+        });
+        let c = spawn4(part, &[]);
+        let h = c.handle();
+        for i in 0..4u32 {
+            h.insert(Edge::new(0, 4 + i)).unwrap(); // all on shard 0
+        }
+        let cut1 = c.epoch_cut().unwrap();
+        let k = 3u64;
+        for d in 0..4 * k as u32 {
+            h.insert(Edge::new(2, d)).unwrap(); // shard 0 again
+        }
+        // Stats forwards the router's residue; the kill then queues behind
+        // those updates, so the worker flushes all k batches before dying.
+        let m = c.metrics().unwrap();
+        assert_eq!(m.shards[0].latest_epoch, cut1.shards()[0].epoch());
+        assert_eq!(c.kill_shard(0), Ok(true));
+        let m = c.metrics().unwrap();
+        assert_eq!(
+            m.shards[0].publication.snapshots, 1,
+            "no publish after the barrier"
+        );
+        assert_eq!(m.shards[0].publication.deltas, 1 + k);
+
+        let cut2 = c.epoch_cut().unwrap();
+        assert_eq!(cut2.shards()[0].epoch(), cut1.shards()[0].epoch() + k);
+        assert_eq!(cut2.num_edges(), 4 + 4 * k as usize);
+        for d in 0..4 * k as u32 {
+            assert!(
+                cut2.contains(2, d),
+                "flush after the barrier lost: (2, {d})"
+            );
+        }
+        for i in 0..4u32 {
+            assert!(cut2.contains(0, 4 + i));
+        }
+        c.shutdown();
     }
 
     #[test]

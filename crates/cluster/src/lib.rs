@@ -107,6 +107,7 @@
 
 #![warn(missing_docs)]
 
+mod affinity;
 mod cluster;
 mod metrics;
 mod snapshot;

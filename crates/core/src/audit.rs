@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use gpma_graph::edge::{Edge, GUARD_DST};
 
-use crate::delta::{apply_delta, DeltaLog, SnapshotDelta};
+use crate::delta::{apply_delta, fold_chain, DeltaLog, SnapshotDelta};
 use crate::framework::GraphSnapshot;
 use crate::gpma_plus::GpmaPlus;
 use crate::multi::PartitionEpoch;
@@ -224,29 +224,26 @@ impl DeltaLog {
                 )));
             }
         }
-        // Merge-associativity spot check: folding (a.b).c and a.(b.c) must
-        // replay identically on the empty base state.
+        // Fold spot check: the first three epochs folded into one delta
+        // must replay exactly like the three in order, on the empty base.
         if chain.len() >= 3 {
-            let (a, b, c) = (chain[0], chain[1], chain[2]);
-            let mut left = (**a).clone();
-            left.merge(b);
-            left.merge(c);
-            let mut bc = (**b).clone();
-            bc.merge(c);
-            let mut right = (**a).clone();
-            right.merge(&bc);
+            let first = &chain[..3];
             let nv = chain
                 .iter()
                 .flat_map(|d| d.inserted())
                 .map(|e| e.src.max(e.dst) + 1)
                 .max()
                 .unwrap_or(1);
-            let base = GraphSnapshot::from_edges(a.epoch() - 1, nv, Vec::new());
-            if apply_delta(&base, &left) != apply_delta(&base, &right) {
+            let base = GraphSnapshot::from_edges(first[0].epoch() - 1, nv, Vec::new());
+            let mut stepwise = base.clone();
+            for d in first {
+                stepwise = apply_delta(&stepwise, d);
+            }
+            if apply_delta(&base, &fold_chain(first.iter().map(|d| &***d))) != stepwise {
                 return Err(AuditError::DeltaLog(format!(
-                    "merge not associative over epochs {}..={}",
-                    a.epoch(),
-                    c.epoch()
+                    "folded chain does not replay like epochs {}..={}",
+                    first[0].epoch(),
+                    first[2].epoch()
                 )));
             }
         }

@@ -13,11 +13,15 @@
 //!
 //! ```text
 //! magic   u32   "GPCK" (0x4b435047)
-//! version u16   1
+//! version u16   2
 //! flags   u16   reserved, must be 0
 //! payload       snapshot, delta count u64, deltas (codec formats)
-//! checksum u64  FNV-1a over everything above
+//! checksum u64  8-lane interleaved FNV-1a over everything above
 //! ```
+//!
+//! Version 1 containers carried a byte-serial FNV-1a checksum; version 2
+//! switched to [`checksum64`]. Decode accepts only the current version, so
+//! a version 1 container is rejected with [`CodecError::BadVersion`].
 
 use std::collections::HashMap;
 use std::io;
@@ -25,17 +29,17 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::codec::{
-    decode_delta, decode_snapshot, encode_delta, encode_snapshot, fnv1a64, put_u16, put_u32,
-    put_u64, ByteReader, CodecError,
+    checksum64, decode_delta, decode_snapshot, encode_delta, encode_snapshot, put_u16, put_u32,
+    put_u64, ByteReader, CodecError, EDGE_WIRE_BYTES,
 };
-use crate::delta::{apply_delta, SnapshotDelta};
+use crate::delta::{apply_chain, SnapshotDelta};
 use crate::framework::GraphSnapshot;
 
 /// First four container bytes: `GPCK` read as a little-endian `u32`.
 pub const CHECKPOINT_MAGIC: u32 = u32::from_le_bytes(*b"GPCK");
 
 /// Container format version this build writes and accepts.
-pub const CHECKPOINT_VERSION: u16 = 1;
+pub const CHECKPOINT_VERSION: u16 = 2;
 
 /// Minimum bytes a delta can occupy on the wire (its three-count header) —
 /// the element size the container's delta-count prefix is validated with.
@@ -46,15 +50,20 @@ const MIN_DELTA_WIRE_BYTES: usize = 24;
 /// `snapshot.epoch() + 1` to [`Self::epoch`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
-    snapshot: GraphSnapshot,
+    snapshot: Arc<GraphSnapshot>,
     deltas: Vec<Arc<SnapshotDelta>>,
 }
 
 impl Checkpoint {
     /// Bundle a snapshot with its trailing delta chain. The chain must be
     /// contiguous starting at `snapshot.epoch() + 1` (debug-asserted; the
-    /// decode path re-validates it on every load).
-    pub fn new(snapshot: GraphSnapshot, deltas: Vec<Arc<SnapshotDelta>>) -> Self {
+    /// decode path re-validates it on every load). Takes a shared snapshot
+    /// as is, so checkpointing a published snapshot copies no edges.
+    pub fn new(
+        snapshot: impl Into<Arc<GraphSnapshot>>,
+        deltas: Vec<Arc<SnapshotDelta>>,
+    ) -> Self {
+        let snapshot = snapshot.into();
         debug_assert!(deltas
             .iter()
             .enumerate()
@@ -92,16 +101,27 @@ impl Checkpoint {
     /// Fold the trailing chain onto the base snapshot, producing the state
     /// at [`Self::epoch`].
     pub fn restore(&self) -> GraphSnapshot {
-        let mut state = self.snapshot.clone();
-        for d in &self.deltas {
-            state = apply_delta(&state, d);
-        }
-        state
+        apply_chain(&self.snapshot, &self.deltas)
     }
 
     /// Serialize into the self-validating container format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        // Sized exactly up front: the buffer is written once, never regrown.
+        let len = 8
+            + 20
+            + self.snapshot.num_edges() * EDGE_WIRE_BYTES
+            + 8
+            + self
+                .deltas
+                .iter()
+                .map(|d| {
+                    MIN_DELTA_WIRE_BYTES
+                        + d.inserted().len() * EDGE_WIRE_BYTES
+                        + d.deleted_keys().len() * 8
+                })
+                .sum::<usize>()
+            + 8;
+        let mut buf = Vec::with_capacity(len);
         put_u32(&mut buf, CHECKPOINT_MAGIC);
         put_u16(&mut buf, CHECKPOINT_VERSION);
         put_u16(&mut buf, 0); // flags, reserved
@@ -110,7 +130,7 @@ impl Checkpoint {
         for d in &self.deltas {
             encode_delta(d, &mut buf);
         }
-        let checksum = fnv1a64(&buf);
+        let checksum = checksum64(&buf);
         put_u64(&mut buf, checksum);
         buf
     }
@@ -162,11 +182,11 @@ impl Checkpoint {
         let stored = u64::from_le_bytes([
             tail[0], tail[1], tail[2], tail[3], tail[4], tail[5], tail[6], tail[7],
         ]);
-        let computed = fnv1a64(body);
+        let computed = checksum64(body);
         if stored != computed {
             return Err(CodecError::ChecksumMismatch { stored, computed });
         }
-        Ok(Checkpoint { snapshot, deltas })
+        Ok(Checkpoint::new(snapshot, deltas))
     }
 }
 
@@ -403,6 +423,48 @@ mod tests {
             Err(CodecError::ChecksumMismatch { .. }) | Err(CodecError::Corrupt(_)) => {}
             other => panic!("expected checksum/corrupt rejection, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn every_single_byte_flip_is_rejected() {
+        let bytes = checkpoint().encode();
+        for i in 0..bytes.len() {
+            for flip in [0x01, 0x80, 0xff] {
+                let mut probe = bytes.clone();
+                probe[i] ^= flip;
+                assert!(
+                    Checkpoint::decode(&probe).is_err(),
+                    "byte {i} ^ {flip:#04x} decoded silently"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bit63_flips_in_two_words_are_rejected() {
+        let bytes = checkpoint().encode();
+        let words = (bytes.len() - 8) / 8;
+        for a in 0..words {
+            for b in a + 1..words {
+                let mut probe = bytes.clone();
+                probe[a * 8 + 7] ^= 0x80;
+                probe[b * 8 + 7] ^= 0x80;
+                assert!(
+                    Checkpoint::decode(&probe).is_err(),
+                    "bit 63 of words {a} and {b} cancelled"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn version_1_container_is_rejected() {
+        let mut bytes = checkpoint().encode();
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(
+            Checkpoint::decode(&bytes),
+            Err(CodecError::BadVersion { found: 1 })
+        );
     }
 
     #[test]

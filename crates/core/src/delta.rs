@@ -122,40 +122,51 @@ impl SnapshotDelta {
     pub fn wire_bytes(&self) -> usize {
         8 + self.inserted.len() * BYTES_PER_EDGE + self.deleted.len() * BYTES_PER_DELETED_KEY
     }
+}
 
-    /// Fold `later` into `self`, producing the net effect of both epochs in
-    /// sequence (`self` first). The merged delta is stamped with `later`'s
-    /// epoch. Associative, so a whole chain folds into one delta.
-    pub fn merge(&mut self, later: &SnapshotDelta) {
-        self.epoch = later.epoch;
-        if later.is_empty() {
-            return;
+/// Fold a delta chain (oldest first) into its one net delta, stamped with
+/// the last delta's epoch: each key's last word in the chain wins, so
+/// replaying the fold equals replaying the chain in order. One stable sort
+/// over the chain's entries, O(N log N) in its total length however many
+/// deltas it holds (an empty chain folds to the empty epoch-0 delta).
+pub fn fold_chain<'a>(chain: impl IntoIterator<Item = &'a SnapshotDelta>) -> SnapshotDelta {
+    let mut epoch = 0;
+    // (key, upsert or `None` for a delete) in chain order; one delta never
+    // names a key twice, so the order within a delta does not matter.
+    let mut ops: Vec<(u64, Option<Edge>)> = Vec::new();
+    for d in chain {
+        epoch = d.epoch;
+        ops.extend(d.deleted.iter().map(|&k| (k, None)));
+        ops.extend(d.inserted.iter().map(|e| (e.key(), Some(*e))));
+    }
+    // Stable: equal keys keep chain order, so the last of each run wins.
+    ops.sort_by_key(|&(k, _)| k);
+    let mut inserted = Vec::new();
+    let mut deleted = Vec::new();
+    for (i, &(k, op)) in ops.iter().enumerate() {
+        if ops.get(i + 1).is_some_and(|&(next, _)| next == k) {
+            continue;
         }
-        // Deletions in `later` override earlier upserts of the same key.
-        if !later.deleted.is_empty() {
-            self.inserted
-                .retain(|e| later.deleted.binary_search(&e.key()).is_err());
-            let mut deleted = std::mem::take(&mut self.deleted);
-            deleted.extend_from_slice(&later.deleted);
-            deleted.sort_unstable();
-            deleted.dedup();
-            self.deleted = deleted;
+        match op {
+            Some(e) => inserted.push(e),
+            None => deleted.push(k),
         }
-        // Upserts in `later` override earlier deletions and earlier upserts.
-        if !later.inserted.is_empty() {
-            self.deleted
-                .retain(|k| later.inserted.binary_search_by_key(k, Edge::key).is_err());
-            let mut inserted = std::mem::take(&mut self.inserted);
-            inserted.retain(|e| {
-                later
-                    .inserted
-                    .binary_search_by_key(&e.key(), Edge::key)
-                    .is_err()
-            });
-            inserted.extend_from_slice(&later.inserted);
-            inserted.sort_by_key(Edge::key);
-            self.inserted = inserted;
-        }
+    }
+    SnapshotDelta {
+        epoch,
+        inserted,
+        deleted,
+    }
+}
+
+/// Replay a contiguous delta chain on `snap` with one O(E) pass: the chain
+/// folds first ([`fold_chain`]), so a long chain costs its own length, not
+/// one full-graph rewrite per delta. An empty chain returns `snap`'s state.
+pub fn apply_chain(snap: &GraphSnapshot, chain: &[Arc<SnapshotDelta>]) -> GraphSnapshot {
+    match chain {
+        [] => snap.clone(),
+        [d] => apply_delta(snap, d),
+        _ => apply_delta(snap, &fold_chain(chain.iter().map(|d| &**d))),
     }
 }
 
@@ -430,8 +441,7 @@ mod tests {
             },
         );
         let sequential = apply_delta(&apply_delta(&snap, &d1), &d2);
-        let mut folded = d1.clone();
-        folded.merge(&d2);
+        let folded = fold_chain([&d1, &d2]);
         assert_eq!(folded.epoch(), 2);
         let at_once = apply_delta(&snap, &folded);
         assert_eq!(sequential, at_once);
@@ -443,12 +453,29 @@ mod tests {
                 deletions: vec![Edge::new(3, 4)],
             },
         );
-        folded.merge(&d3);
+        let folded = fold_chain([&d1, &d2, &d3]);
         assert!(folded
             .inserted()
             .binary_search_by_key(&Edge::new(3, 4).key(), Edge::key)
             .is_err());
         assert!(folded.deleted_keys().contains(&Edge::new(3, 4).key()));
+        // Delete-then-reinsert nets to the last upsert, and a whole chain
+        // replays in one pass exactly like delta by delta.
+        let d4 = SnapshotDelta::from_batch(
+            4,
+            &UpdateBatch {
+                insertions: vec![e(3, 4, 9)],
+                deletions: vec![],
+            },
+        );
+        let chain: Vec<Arc<SnapshotDelta>> = [d1, d2, d3, d4].map(Arc::new).to_vec();
+        let mut stepwise = snap.clone();
+        for d in &chain {
+            stepwise = apply_delta(&stepwise, d);
+        }
+        assert_eq!(apply_chain(&snap, &chain), stepwise);
+        assert_eq!(apply_chain(&snap, &chain).weight(3, 4), Some(9));
+        assert_eq!(apply_chain(&snap, &[]), snap);
     }
 
     #[test]

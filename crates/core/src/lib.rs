@@ -60,7 +60,9 @@ pub use audit::AuditError;
 pub use checkpoint::{Checkpoint, CheckpointStore, DirCheckpointStore, MemoryCheckpointStore};
 pub use codec::CodecError;
 pub use csr::CsrView;
-pub use delta::{apply_delta, split_delta_moves, DeltaCatchUp, DeltaLog, SnapshotDelta};
+pub use delta::{
+    apply_chain, apply_delta, fold_chain, split_delta_moves, DeltaCatchUp, DeltaLog, SnapshotDelta,
+};
 pub use gpma::{Gpma, LockStats};
 pub use gpma_plus::{GpmaPlus, PlusStats};
 pub use storage::{GpmaStorage, EMPTY};

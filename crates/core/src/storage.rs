@@ -433,16 +433,18 @@ impl GpmaStorage {
             .collect()
     }
 
-    /// Live real edges in key order — host readback.
+    /// Live real edges in key order — host readback. One pass over the
+    /// slots into a buffer sized by the live count (guards included, so it
+    /// never regrows): every barrier snapshot pays this.
     pub fn host_edges(&self) -> Vec<Edge> {
-        self.host_entries()
-            .into_iter()
-            .filter(|&(k, _)| Self::is_entry(k))
-            .map(|(k, w)| {
+        let mut edges = Vec::with_capacity(self.len());
+        for (&k, &w) in self.keys.as_slice().iter().zip(self.vals.as_slice()) {
+            if Self::is_entry(k) {
                 let (s, d) = gpma_graph::decode_key(k);
-                Edge::weighted(s, d, w)
-            })
-            .collect()
+                edges.push(Edge::weighted(s, d, w));
+            }
+        }
+        edges
     }
 
     /// Check structural invariants on the host; panics on violation.

@@ -74,6 +74,22 @@ impl IncrementalEngine {
         self
     }
 
+    /// Start or stop maintaining connected components on a live engine.
+    /// Turning it on rebases a fresh maintainer on the tracked graph, so it
+    /// is exact from the engine's current epoch on; turning it off drops
+    /// the maintainer and its per-delta repair cost. Idempotent.
+    pub fn set_cc(&mut self, on: bool) {
+        match (on, self.cc.is_some()) {
+            (true, false) => {
+                let mut m = IncrementalCc::new();
+                m.rebase(&self.graph);
+                self.cc = Some(m);
+            }
+            (false, true) => self.cc = None,
+            _ => {}
+        }
+    }
+
     /// Maintain PageRank at `damping` / `epsilon` (the oracle's parameter
     /// shape).
     pub fn with_pagerank(mut self, damping: f64, epsilon: f64) -> Self {

@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use gpma_core::delta::{apply_delta, DeltaCatchUp};
+use gpma_core::delta::{apply_chain, DeltaCatchUp};
 use gpma_core::framework::GraphSnapshot;
 use gpma_obs::{Registry as ObsRegistry, Stage, NO_SHARD};
 
@@ -121,12 +121,8 @@ impl Follower {
         self.syncs += 1;
         let advanced = match leader.deltas_since(self.state.epoch()) {
             DeltaCatchUp::Deltas(chain) => {
-                if let Some(first) = chain.first() {
-                    let mut state = apply_delta(&self.state, first);
-                    for d in &chain[1..] {
-                        state = apply_delta(&state, d);
-                    }
-                    self.state = Arc::new(state);
+                if !chain.is_empty() {
+                    self.state = Arc::new(apply_chain(&self.state, &chain));
                 }
                 self.deltas_applied += chain.len() as u64;
                 chain.len() as u64

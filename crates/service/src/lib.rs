@@ -34,8 +34,9 @@
 //!   epoch in order on their own thread, and
 //!   [`ServiceConfig::snapshot_interval`] makes deltas the steady-state
 //!   read path (full snapshots at a sparse cadence; barriers always
-//!   fresh). The `gpma-incremental` crate builds live incremental
-//!   BFS / CC / PageRank on this seam.
+//!   fresh; `gpma-cluster` shards snapshot only at barriers). The
+//!   `gpma-incremental` crate builds live incremental BFS / CC /
+//!   PageRank on this seam.
 //! * **Durability & replication** — [`StreamingService::checkpoint`]
 //!   captures the latest snapshot plus its trailing delta chain as a
 //!   [`gpma_core::checkpoint::Checkpoint`] (respawn with

@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
 use gpma_core::checkpoint::Checkpoint;
-use gpma_core::delta::{DeltaCatchUp, DeltaLog, SnapshotDelta, BYTES_PER_EDGE};
+use gpma_core::delta::{apply_chain, DeltaCatchUp, DeltaLog, SnapshotDelta, BYTES_PER_EDGE};
 use gpma_core::framework::{DynamicGraphSystem, GraphSnapshot};
 use gpma_graph::{Edge, UpdateBatch};
 use gpma_obs::{EventKind, Registry as ObsRegistry, Stage, NO_SHARD};
@@ -35,12 +35,14 @@ pub struct ServiceConfig {
     /// ring falls back to a full snapshot. Clamped to at least 1.
     pub delta_log_capacity: usize,
     /// Publish a full O(E) snapshot every this-many flushes; O(|Δ|) deltas
-    /// publish on *every* flush. `1` (the default) preserves the classic
-    /// snapshot-per-flush behavior; larger values make delta publication
-    /// the steady-state read path ([`StreamingService::barrier`] and
-    /// shutdown still force a fresh snapshot). Clamped to
-    /// `[1, delta_log_capacity]` so the snapshot fallback always reconnects
-    /// to the delta ring.
+    /// publish on *every* flush. `1` (the default) is snapshot-per-flush,
+    /// so [`StreamingService::snapshot`] readers see every epoch; larger
+    /// values make delta publication the steady-state read path and save
+    /// the O(E) readback per flush ([`StreamingService::barrier`] and
+    /// shutdown still force a fresh snapshot). Cluster shards run at the
+    /// maximum, `delta_log_capacity`: they publish a delta per flush and a
+    /// snapshot per barrier. Clamped to `[1, delta_log_capacity]` so the
+    /// snapshot fallback always reconnects to the delta ring.
     pub snapshot_interval: usize,
 }
 
@@ -591,19 +593,14 @@ impl StreamingService {
     /// Updates still queued ahead of the worker are not included — they
     /// land in later deltas, which is exactly what lets copy-on-write
     /// reshard migrate from this cut while ingest keeps flowing and replay
-    /// the remainder from `deltas_since(cut.epoch())`. Never blocks on the
-    /// worker beyond the log lock.
+    /// the remainder from `deltas_since(cut.epoch())`. The chain folds in
+    /// one O(E) pass however long it is ([`apply_chain`]). Never blocks on
+    /// the worker beyond the log lock.
     pub fn frozen_cut(&self) -> Arc<GraphSnapshot> {
         let snap = self.shared.latest();
         let chain = self.shared.delta_log.lock().deltas_since(snap.epoch());
         match chain {
-            Some(chain) if !chain.is_empty() => {
-                let mut cur = gpma_core::delta::apply_delta(&snap, &chain[0]);
-                for d in &chain[1..] {
-                    cur = gpma_core::delta::apply_delta(&cur, d);
-                }
-                Arc::new(cur)
-            }
+            Some(chain) if !chain.is_empty() => Arc::new(apply_chain(&snap, &chain)),
             _ => snap,
         }
     }
@@ -672,7 +669,7 @@ impl StreamingService {
             .lock()
             .deltas_since(snap.epoch())
             .unwrap_or_default();
-        Checkpoint::new((*snap).clone(), chain)
+        Checkpoint::new(snap, chain)
     }
 
     /// Spawn a read-only [`Follower`] replica seeded from the latest

@@ -9,7 +9,8 @@
 //! | query kind        | maintenance                                        |
 //! |-------------------|----------------------------------------------------|
 //! | `Bfs` (maintained)| refilled from the [`IncrementalEngine`] maintainer |
-//! | `Cc`              | refilled from the engine's CC maintainer           |
+//! | `Cc`              | refilled from the engine's CC maintainer, which    |
+//! |                   | exists only while a `Cc` entry is cached           |
 //! | `EdgeExists`      | patched per delta (insert wins over delete, the    |
 //! |                   | [`apply_delta`](gpma_core::delta::apply_delta) rule)|
 //! | `Neighbors`       | patched per delta (sorted set add/remove)          |
@@ -73,14 +74,15 @@ pub struct ResultCache {
 
 impl ResultCache {
     /// A cache pinned to `initial`, with incremental BFS maintainers at
-    /// `bfs_roots` (roots outside the vertex range are dropped) and a CC
-    /// maintainer, all rebased on `initial`.
+    /// `bfs_roots` (roots outside the vertex range are dropped), rebased on
+    /// `initial`. The CC maintainer is built by the first cached `Cc`
+    /// answer, so refreshes pay no CC repair while none is cached.
     pub fn new(initial: Arc<GraphSnapshot>, bfs_roots: Vec<u32>) -> Self {
         let bfs_roots: Vec<u32> = bfs_roots
             .into_iter()
             .filter(|&r| r < initial.num_vertices())
             .collect();
-        let mut engine = IncrementalEngine::new().with_cc();
+        let mut engine = IncrementalEngine::new();
         for &r in &bfs_roots {
             engine = engine.with_bfs(r);
         }
@@ -135,8 +137,13 @@ impl ResultCache {
     }
 
     /// Memoize a miss computed at [`epoch`](Self::epoch). The caller must
-    /// have verified the epoch did not advance while it computed.
+    /// have verified the epoch did not advance while it computed. The
+    /// first `Cc` entry starts the CC maintainer, rebased on the engine's
+    /// graph — the pinned snapshot's state.
     pub fn insert(&mut self, tenant: u32, query: Query, result: QueryResult) {
+        if query == Query::Cc {
+            self.engine.set_cc(true);
+        }
         self.entries.insert((tenant, query), result);
     }
 
@@ -301,6 +308,8 @@ impl ResultCache {
         self.stats.flushes += 1;
         self.stats.invalidations += self.entries.len() as u64;
         self.entries.clear();
+        // No `Cc` entry is left, so neither is the CC maintainer.
+        self.engine.set_cc(false);
         self.engine.rebase(&s);
         self.epoch = s.epoch();
         self.snap = s;
@@ -394,6 +403,69 @@ mod tests {
         );
         let st = cache.stats();
         assert!(st.patches > 0 && st.invalidations > 0 && st.refreshes == 1);
+    }
+
+    #[test]
+    fn refresh_without_a_cc_entry_does_no_cc_work() {
+        let pr = PageRankParams::default();
+        let s0 = base();
+        let mut cache = ResultCache::new(s0.clone(), vec![0]);
+        for q in [Query::Bfs { src: 0 }, Query::Neighbors { v: 1 }] {
+            cache.insert(0, q, execute(q, &s0, pr));
+        }
+        let d1 = delta(1, &[(2, 3)], &[(0, 1)]);
+        let d2 = delta(2, &[(0, 1)], &[(3, 4)]);
+        let s2 = Arc::new(apply_delta(&apply_delta(&s0, &d1), &d2));
+        cache.refresh(s2, DeltaCatchUp::Deltas(vec![d1, d2]));
+        assert_eq!(cache.epoch(), 2);
+        assert!(
+            cache.engine.cc_mut().is_none(),
+            "no CC entry, no CC maintainer"
+        );
+        assert_eq!(cache.engine.stats().cc_work, 0);
+    }
+
+    #[test]
+    fn cc_entry_inserted_late_stays_oracle_exact() {
+        let pr = PageRankParams::default();
+        let mut snap = base();
+        let mut cache = ResultCache::new(snap.clone(), vec![]);
+        let mut epoch = 0;
+        let mut step = |cache: &mut ResultCache, snap: &mut Arc<GraphSnapshot>, ins, del| {
+            epoch += 1;
+            let d = delta(epoch, ins, del);
+            *snap = Arc::new(apply_delta(snap, &d));
+            cache.refresh(snap.clone(), DeltaCatchUp::Deltas(vec![d]));
+        };
+        // Several refreshes before any CC answer is cached.
+        step(&mut cache, &mut snap, &[(2, 3)], &[]);
+        step(&mut cache, &mut snap, &[(5, 6), (6, 7)], &[(0, 1)]);
+        step(&mut cache, &mut snap, &[(0, 1)], &[]);
+        assert_eq!(cache.engine.stats().cc_work, 0);
+
+        cache.insert(3, Query::Cc, execute(Query::Cc, &snap, pr));
+        // Merges, a split (1-2 cut) and a re-join across further deltas.
+        type Pairs = &'static [(u32, u32)];
+        let further: [(Pairs, Pairs); 3] = [
+            (&[(4, 5)], &[(1, 2)]),
+            (&[], &[(6, 7)]),
+            (&[(2, 7)], &[(3, 4)]),
+        ];
+        for (ins, del) in further {
+            step(&mut cache, &mut snap, ins, del);
+            assert_eq!(
+                cache.lookup(3, Query::Cc),
+                Some(&execute(Query::Cc, &snap, pr)),
+                "CC drifted at epoch {}",
+                cache.epoch()
+            );
+        }
+        assert!(cache.engine.stats().cc_work > 0);
+
+        // A fallback drops every entry, so the maintainer goes with them.
+        let s9 = Arc::new(GraphSnapshot::from_edges(9, 8, vec![Edge::new(5, 6)]));
+        cache.refresh(s9.clone(), DeltaCatchUp::Snapshot(s9));
+        assert!(cache.engine.cc_mut().is_none());
     }
 
     #[test]

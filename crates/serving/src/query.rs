@@ -62,6 +62,15 @@ impl Query {
             Query::Neighbors { .. } => "neighbors",
         }
     }
+
+    /// Whether the query is a point lookup (degree, edge test, neighbor
+    /// list): it reads one vertex's adjacency, never the whole graph.
+    pub fn is_point(self) -> bool {
+        matches!(
+            self,
+            Query::Degree { .. } | Query::EdgeExists { .. } | Query::Neighbors { .. }
+        )
+    }
 }
 
 /// A query's answer. Bulk payloads are `Arc`-wrapped so cache hits clone a

@@ -263,6 +263,40 @@ fn expired_deadline_sheds_before_execution() {
     assert_eq!(m.totals().rejected_deadline, 1);
 }
 
+#[test]
+fn uncached_point_queries_complete_at_submit() {
+    let dev = Device::new(DeviceConfig::deterministic());
+    let sys = DynamicGraphSystem::new(dev, 16, &[Edge::new(0, 1), Edge::new(0, 2)], 4);
+    let svc = Arc::new(StreamingService::spawn(ServiceConfig::default(), sys));
+    let server = QueryServer::spawn(
+        Arc::clone(&svc),
+        ServingConfig {
+            cache: false,
+            ..Default::default()
+        },
+    );
+    let snap = svc.snapshot();
+    for q in [
+        Query::Degree { v: 0 },
+        Query::EdgeExists { u: 0, v: 2 },
+        Query::Neighbors { v: 0 },
+    ] {
+        let ticket = server.submit(0, q).unwrap();
+        let answer = ticket.try_take().expect("answered before submit returned");
+        assert_eq!(answer, Ok(execute(q, &snap, PageRankParams::default())));
+    }
+    // The deadline still holds on the caller's thread.
+    let late = server
+        .submit_with_deadline(0, Query::Degree { v: 0 }, Duration::ZERO)
+        .unwrap();
+    assert_eq!(late.try_take(), Some(Err(Rejected::Deadline)));
+    let m = server.shutdown();
+    assert_eq!(m.totals().admitted, 4);
+    assert_eq!(m.totals().cache_misses, 3);
+    assert_eq!(m.totals().rejected_deadline, 1);
+    drop(Arc::into_inner(svc).unwrap().shutdown());
+}
+
 fn service_server(tenants: Vec<TenantConfig>) -> (Arc<StreamingService>, QueryServer<StreamingService>) {
     let dev = Device::new(DeviceConfig::deterministic());
     let sys = DynamicGraphSystem::new(dev, 16, &[Edge::new(0, 1)], 4);
